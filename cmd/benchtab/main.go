@@ -20,7 +20,6 @@ import (
 	"io"
 	"os"
 	"strings"
-	"time"
 
 	"repro/internal/cloud"
 	"repro/internal/experiments"
@@ -95,7 +94,6 @@ func main() {
 	}
 	csvDir = *csv
 	experiments.TraceDir = *tracedir
-	start := time.Now()
 	if *chaosFlag != "" {
 		runChaos(*chaosFlag, *quick)
 	}
@@ -128,7 +126,6 @@ func main() {
 	} else if *tracedir != "" {
 		fmt.Fprintf(os.Stderr, "\nwrote traces and metrics to %s\n", *tracedir)
 	}
-	fmt.Fprintf(os.Stderr, "\n(wall time %s)\n", time.Since(start).Round(time.Millisecond))
 }
 
 var csvDir string
@@ -245,7 +242,7 @@ func runCrash(quick bool) {
 
 func runFleet(quick bool) {
 	hdr("Fleet control plane")
-	res, err := experiments.RunFleet(experiments.FleetConfig{Quick: quick})
+	res, err := experiments.RunFleet(experiments.FleetConfig{Preset: experiments.FleetHundred, Quick: quick})
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "fleet: %v\n", err)
 		os.Exit(2)

@@ -3,53 +3,27 @@ package areplica
 import (
 	"bytes"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/chaos"
-	"repro/internal/objstore"
+	"repro/internal/oracle"
 )
 
-// putWatcher counts destination PUT events per bucket and flags duplicate
-// final writes: a later version whose ETag equals the one already
-// durable. Zero duplicates is the fleet's exactly-once-effect bar.
-type putWatcher struct {
-	mu       sync.Mutex
-	puts     int
-	dups     int
-	lastSeq  map[string]uint64
-	lastETag map[string]string
-}
-
-func watchPuts(sim *Sim, region, bucket string) *putWatcher {
-	w := &putWatcher{lastSeq: map[string]uint64{}, lastETag: map[string]string{}}
+// watchPuts counts the replica writes landing in a bucket and flags
+// duplicate final writes among them. Zero duplicates is the fleet's
+// exactly-once-effect bar.
+func watchPuts(t *testing.T, sim *Sim, region, bucket string) *oracle.Watcher {
+	t.Helper()
 	rid, err := sim.region(region)
 	if err != nil {
-		panic(err)
+		t.Fatal(err)
 	}
-	sim.World().Region(rid).Obj.Subscribe(bucket, func(ev objstore.Event) {
-		if ev.Type != objstore.EventPut {
-			return
-		}
-		w.mu.Lock()
-		w.puts++
-		if ev.Seq > w.lastSeq[ev.Key] {
-			if ev.ETag != "" && w.lastETag[ev.Key] == ev.ETag {
-				w.dups++
-			}
-			w.lastSeq[ev.Key] = ev.Seq
-			w.lastETag[ev.Key] = ev.ETag
-		}
-		w.mu.Unlock()
-	})
+	w, err := oracle.Watch(sim.World().Region(rid).Obj, bucket)
+	if err != nil {
+		t.Fatal(err)
+	}
 	return w
-}
-
-func (w *putWatcher) stats() (puts, dups int) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.puts, w.dups
 }
 
 // TestFleetChainTerminates is the chained-topology acceptance test: a
@@ -76,8 +50,8 @@ func TestFleetChainTerminates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wb := watchPuts(sim, "azure:eastus", "ch-b")
-	wc := watchPuts(sim, "gcp:us-east1", "ch-c")
+	wb := watchPuts(t, sim, "azure:eastus", "ch-b")
+	wc := watchPuts(t, sim, "gcp:us-east1", "ch-c")
 
 	info, err := sim.PutObject("aws:us-east-1", "ch-a", "doc.bin", 1<<20)
 	if err != nil {
@@ -96,10 +70,10 @@ func TestFleetChainTerminates(t *testing.T) {
 			t.Fatalf("%s/%s ETag = %s, want %s", reg.region, reg.bucket, got.ETag, info.ETag)
 		}
 	}
-	if puts, dups := wb.stats(); puts != 1 || dups != 0 {
+	if puts, dups := wb.Replicas(), wb.Duplicates(); puts != 1 || dups != 0 {
 		t.Fatalf("hop B saw %d puts (%d dup), want exactly 1", puts, dups)
 	}
-	if puts, dups := wc.stats(); puts != 1 || dups != 0 {
+	if puts, dups := wc.Replicas(), wc.Duplicates(); puts != 1 || dups != 0 {
 		t.Fatalf("hop C saw %d puts (%d dup), want exactly 1", puts, dups)
 	}
 	if d, total, err := fl.Diverged(); err != nil || d != 0 || total == 0 {
@@ -135,9 +109,9 @@ func TestFleetMeshTerminates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	watchers := make([]*putWatcher, len(regions))
+	watchers := make([]*oracle.Watcher, len(regions))
 	for i, r := range regions {
-		watchers[i] = watchPuts(sim, r, "mesh")
+		watchers[i] = watchPuts(t, sim, r, "mesh")
 	}
 	// Each member writes its own key (per-site keyspaces, the usual
 	// active-active discipline).
@@ -148,16 +122,16 @@ func TestFleetMeshTerminates(t *testing.T) {
 	}
 	sim.Wait()
 
-	// Every member holds all three keys; each saw 1 local put + 2 replica
-	// writes, no duplicates.
+	// Every member holds all three keys; each saw 2 replica writes beside
+	// its local put, no duplicates.
 	for i, r := range regions {
 		for _, other := range regions {
 			if _, err := sim.HeadObject(r, "mesh", "site-"+other+".bin"); err != nil {
 				t.Fatalf("member %s missing key of %s: %v", r, other, err)
 			}
 		}
-		if puts, dups := watchers[i].stats(); puts != 3 || dups != 0 {
-			t.Fatalf("member %s saw %d puts (%d dup), want 3 with 0 dup", r, puts, dups)
+		if puts, dups := watchers[i].Replicas(), watchers[i].Duplicates(); puts != 2 || dups != 0 {
+			t.Fatalf("member %s saw %d replica puts (%d dup), want 2 with 0 dup", r, puts, dups)
 		}
 	}
 	// 6 rules × 3 keys: once converged, every member's source listing
@@ -252,7 +226,7 @@ func TestLoadFleetTopology(t *testing.T) {
 // workload, and returns the fleet plus the destination watchers and the
 // metrics dump. One scenario run — the quota-under-chaos satellite calls
 // it twice to assert byte-identical metrics.
-func runSharedLaneChaosFleet(t *testing.T) (*Fleet, *putWatcher, *putWatcher, []byte) {
+func runSharedLaneChaosFleet(t *testing.T) (*Fleet, *oracle.Watcher, *oracle.Watcher, []byte) {
 	t.Helper()
 	sim := NewSim()
 	rules := []FleetRule{
@@ -268,8 +242,8 @@ func runSharedLaneChaosFleet(t *testing.T) (*Fleet, *putWatcher, *putWatcher, []
 	if err != nil {
 		t.Fatal(err)
 	}
-	w1 := watchPuts(sim, "azure:eastus", "qa-dst-1")
-	w2 := watchPuts(sim, "gcp:us-east1", "qa-dst-2")
+	w1 := watchPuts(t, sim, "azure:eastus", "qa-dst-1")
+	w2 := watchPuts(t, sim, "gcp:us-east1", "qa-dst-2")
 
 	// Chaos arms after deployment (clean profiling), exactly like the
 	// single-rule chaos experiments.
@@ -344,10 +318,10 @@ func TestFleetQuotaUnderChaos(t *testing.T) {
 	if d, total, err := fl.Diverged(); err != nil || d != 0 || total != 20 {
 		t.Fatalf("Diverged() = %d/%d, %v; want 0/20", d, total, err)
 	}
-	if _, dups := w1.stats(); dups != 0 {
+	if dups := w1.Duplicates(); dups != 0 {
 		t.Fatalf("rule 1 destination saw %d duplicate final writes", dups)
 	}
-	if _, dups := w2.stats(); dups != 0 {
+	if dups := w2.Duplicates(); dups != 0 {
 		t.Fatalf("rule 2 destination saw %d duplicate final writes", dups)
 	}
 

@@ -3,7 +3,6 @@ package antientropy_test
 import (
 	"bytes"
 	"fmt"
-	"sync"
 	"testing"
 	"time"
 
@@ -12,6 +11,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/objstore"
+	"repro/internal/oracle"
 	"repro/internal/world"
 )
 
@@ -77,42 +77,14 @@ func putRetrying(t *testing.T, w *world.World, region cloud.RegionID, bucket, ke
 	return objstore.PutResult{}
 }
 
-// dupWatcher counts duplicate final writes at the destination: distinct
-// store sequences whose content equals the version already current.
-type dupWatcher struct {
-	mu       sync.Mutex
-	dups     int
-	lastSeq  map[string]uint64
-	lastETag map[string]string
-}
-
-func watchDups(t *testing.T, w *world.World, region cloud.RegionID, bucket string) *dupWatcher {
+// watchDups counts duplicate final writes at the destination.
+func watchDups(t *testing.T, w *world.World, region cloud.RegionID, bucket string) *oracle.Watcher {
 	t.Helper()
-	c := &dupWatcher{lastSeq: map[string]uint64{}, lastETag: map[string]string{}}
-	err := w.Region(region).Obj.Subscribe(bucket, func(ev objstore.Event) {
-		if ev.Type != objstore.EventPut {
-			return
-		}
-		c.mu.Lock()
-		if ev.Seq > c.lastSeq[ev.Key] {
-			if ev.ETag != "" && c.lastETag[ev.Key] == ev.ETag {
-				c.dups++
-			}
-			c.lastSeq[ev.Key] = ev.Seq
-			c.lastETag[ev.Key] = ev.ETag
-		}
-		c.mu.Unlock()
-	})
+	c, err := oracle.Watch(w.Region(region).Obj, bucket)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return c
-}
-
-func (c *dupWatcher) duplicates() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.dups
 }
 
 // audit verifies every source object exists at the destination with a
@@ -266,7 +238,7 @@ func TestScrubDLQRedriveRaceNoDuplicates(t *testing.T) {
 	if err != nil || cur.ETag != res.ETag {
 		t.Fatalf("victim did not converge: %v", err)
 	}
-	if d := dups.duplicates(); d != 0 {
+	if d := dups.Duplicates(); d != 0 {
 		t.Fatalf("%d duplicate final writes (scrub report %+v)", d, rep)
 	}
 
@@ -290,7 +262,7 @@ func TestScrubDLQRedriveRaceNoDuplicates(t *testing.T) {
 	if n := audit(t, w); n != 0 {
 		t.Fatalf("%d divergent after scrub-initiated redrive", n)
 	}
-	if d := dups.duplicates(); d != 0 {
+	if d := dups.Duplicates(); d != 0 {
 		t.Fatalf("%d duplicate final writes after scrub-initiated redrive", d)
 	}
 }
@@ -330,7 +302,7 @@ func TestScrubAllProfilesFullConvergence(t *testing.T) {
 				t.Fatalf("%d of %d keys divergent after %d scrub rounds (last %+v)",
 					n, want, rounds, last)
 			}
-			if d := dups.duplicates(); d != 0 {
+			if d := dups.Duplicates(); d != 0 {
 				t.Fatalf("%d duplicate final writes under %s", d, name)
 			}
 		})

@@ -1,49 +1,27 @@
 package core
 
 import (
-	"sync"
 	"testing"
 
 	"repro/internal/changelog"
 	"repro/internal/chaos"
 	"repro/internal/objstore"
+	"repro/internal/oracle"
 	"repro/internal/world"
 )
 
 // watchDstDups counts destination final writes that rewrite a key with the
 // ETag it already had — the signature of a duplicated changelog apply or a
 // redundant re-replication. Converged chaos runs must keep this at zero.
-// Deliveries are deduped by Seq first: notify-dup chaos replays the
-// notification of a single write, which is not a duplicate write.
-func watchDstDups(t *testing.T, w *world.World) func() int {
+// Notify-dup chaos replays the notification of a single write, which is
+// not a duplicate write; the watcher ignores those.
+func watchDstDups(t *testing.T, w *world.World) *oracle.Watcher {
 	t.Helper()
-	var (
-		mu   sync.Mutex
-		last = map[string]string{}
-		seen = map[uint64]bool{}
-		dups int
-	)
-	if err := w.Region(dst).Obj.Subscribe("d", func(ev objstore.Event) {
-		if ev.Type != objstore.EventPut {
-			return
-		}
-		mu.Lock()
-		if !seen[ev.Seq] {
-			seen[ev.Seq] = true
-			if last[ev.Key] == ev.ETag {
-				dups++
-			}
-			last[ev.Key] = ev.ETag
-		}
-		mu.Unlock()
-	}); err != nil {
+	dups, err := oracle.Watch(w.Region(dst).Obj, "d")
+	if err != nil {
 		t.Fatal(err)
 	}
-	return func() int {
-		mu.Lock()
-		defer mu.Unlock()
-		return dups
-	}
+	return dups
 }
 
 // A duplicated changelog delivery (notify-dup chaos on the hint's own
@@ -84,7 +62,7 @@ func TestChangelogDuplicateDeliveryIdempotent(t *testing.T) {
 	if v := w.Metrics.Counter("chaos.injected.notify_dup").Value(); v < 2 {
 		t.Fatalf("chaos.injected.notify_dup = %d, want >= 2 (event + hint streams)", v)
 	}
-	if n := dups(); n != 0 {
+	if n := dups.Duplicates(); n != 0 {
 		t.Fatalf("%d duplicate final writes at destination, want 0", n)
 	}
 }

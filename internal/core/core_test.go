@@ -156,3 +156,26 @@ func TestBatchedServiceMeetsSLO(t *testing.T) {
 		t.Fatalf("no coalescing: %+v", st)
 	}
 }
+
+// TestDeployKeepsRedriveDisabled: Deploy and engine.New both fill the
+// rule's defaults, so "automatic redrive disabled" must survive two
+// applications — a failing event parks in the DLQ at once, never
+// re-enqueued.
+func TestDeployKeepsRedriveDisabled(t *testing.T) {
+	w, svc := deployed(t, Options{Rule: engine.Rule{
+		Src: src, Dst: dst, SrcBucket: "s", DstBucket: "d", RedriveMax: -1,
+	}})
+	w.Region(dst).Obj.SetFailureRate(1.0)
+	if _, err := w.Region(src).Obj.Put("s", "stuck", objstore.BlobOfSize(1<<20, 1)); err != nil {
+		t.Fatal(err)
+	}
+	w.Clock.Quiesce()
+
+	dlq := svc.Engine.DLQEntries()
+	if len(dlq) != 1 || dlq[0].Event.Key != "stuck" || dlq[0].Redrives != 0 {
+		t.Fatalf("dlq = %+v, want the event parked with no redrive consumed", dlq)
+	}
+	if n := w.Metrics.Counter("engine.dlq.redriven").Value(); n != 0 {
+		t.Fatalf("%d automatic redrives with RedriveMax -1, want 0", n)
+	}
+}

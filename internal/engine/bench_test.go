@@ -43,7 +43,7 @@ func BenchmarkDistributedSerialBaseline(b *testing.B) {
 }
 
 // benchTrackerWatermarks measures the lag-watermark sampling path with a
-// large standing backlog: OldestPending walks only each shard's heap top
+// large standing backlog: OldestPending peeks only at the heap top
 // (pruning resolved entries lazily), so sampling must stay flat as the
 // pending set grows — the 10k vs 100k pair exposes any rescan.
 func benchTrackerWatermarks(b *testing.B, pending int) {

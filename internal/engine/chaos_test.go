@@ -2,13 +2,13 @@ package engine
 
 import (
 	"fmt"
-	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/chaos"
 	"repro/internal/cloud"
 	"repro/internal/objstore"
+	"repro/internal/oracle"
 	"repro/internal/world"
 )
 
@@ -119,46 +119,17 @@ func TestFaultsDoNotCorruptAssemblies(t *testing.T) {
 	}
 }
 
-// dupWriteCounter counts duplicate *final writes* at a destination
+// watchDupWrites counts duplicate *final writes* at a destination
 // bucket: a distinct PUT (new store sequence number) that writes content
 // identical to the version already current there. Notification chaos may
-// deliver the same event twice; deduping on Seq keeps those from counting.
-type dupWriteCounter struct {
-	mu       sync.Mutex
-	dups     int
-	writes   map[string]int
-	lastSeq  map[string]uint64
-	lastETag map[string]string
-}
-
-func watchDupWrites(t *testing.T, w *world.World, region cloud.RegionID, bucket string) *dupWriteCounter {
+// deliver the same event twice; the watcher ignores re-deliveries.
+func watchDupWrites(t *testing.T, w *world.World, region cloud.RegionID, bucket string) *oracle.Watcher {
 	t.Helper()
-	c := &dupWriteCounter{writes: map[string]int{}, lastSeq: map[string]uint64{}, lastETag: map[string]string{}}
-	err := w.Region(region).Obj.Subscribe(bucket, func(ev objstore.Event) {
-		if ev.Type != objstore.EventPut {
-			return
-		}
-		c.mu.Lock()
-		if ev.Seq > c.lastSeq[ev.Key] {
-			c.writes[ev.Key]++
-			if ev.ETag != "" && c.lastETag[ev.Key] == ev.ETag {
-				c.dups++
-			}
-			c.lastSeq[ev.Key] = ev.Seq
-			c.lastETag[ev.Key] = ev.ETag
-		}
-		c.mu.Unlock()
-	})
+	c, err := oracle.Watch(w.Region(region).Obj, bucket)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return c
-}
-
-func (c *dupWriteCounter) duplicates() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.dups
 }
 
 // TestFaultRetriesConsumeVirtualClock verifies the satellite requirement
@@ -304,7 +275,7 @@ func TestChaosNotificationDuplicationDeduped(t *testing.T) {
 			t.Fatalf("%s did not converge: %v", key, err)
 		}
 	}
-	if got := dup.duplicates(); got != 0 {
+	if got := dup.Duplicates(); got != 0 {
 		t.Fatalf("%d duplicate final writes at the destination, want 0", got)
 	}
 	deduped := f.w.Metrics.Counter("engine.events.deduped").Value() +
@@ -361,7 +332,7 @@ func TestChaosMixedProfileAcceptance(t *testing.T) {
 		t.Fatalf("convergence %.1f%% (%d/%d, dlq %d), want >= 99%%",
 			pct, converged, len(want), len(f.eng.DLQ()))
 	}
-	if got := dup.duplicates(); got != 0 {
+	if got := dup.Duplicates(); got != 0 {
 		t.Fatalf("%d duplicate final writes under the mixed profile, want 0", got)
 	}
 	if got := f.w.Metrics.Counter("chaos.injected").Value(); got == 0 {

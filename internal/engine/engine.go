@@ -114,10 +114,10 @@ type Rule struct {
 	// half-open probe (default 1 minute).
 	BreakerCooldown time.Duration
 
-	// RedriveMax caps automatic DLQ redrives per event (default 2; -1
-	// disables automatic redrive); an event re-enters the pipeline
-	// RedriveDelay after dead-lettering until the cap, then parks in the
-	// DLQ for manual RedriveDLQ.
+	// RedriveMax caps automatic DLQ redrives per event (default 2; a
+	// negative value disables automatic redrive); an event re-enters the
+	// pipeline RedriveDelay after dead-lettering until the cap, then parks
+	// in the DLQ for manual RedriveDLQ.
 	RedriveMax int
 	// RedriveDelay is the wait before an automatic redrive (default 30s).
 	RedriveDelay time.Duration
@@ -169,9 +169,11 @@ func (r Rule) WithDefaults() Rule {
 	if r.BreakerCooldown <= 0 {
 		r.BreakerCooldown = time.Minute
 	}
-	if r.RedriveMax < 0 {
-		r.RedriveMax = 0
-	} else if r.RedriveMax == 0 {
+	// Negative RedriveMax and HedgeBudget (disabled) are kept as they are
+	// so WithDefaults is idempotent — core.Deploy and engine.New both
+	// apply it: mapping them to 0 would turn into the default on a second
+	// application.
+	if r.RedriveMax == 0 {
 		r.RedriveMax = 2
 	}
 	if r.RedriveDelay <= 0 {
@@ -180,9 +182,6 @@ func (r Rule) WithDefaults() Rule {
 	if r.ClaimBatch <= 0 {
 		r.ClaimBatch = planner.DefaultClaimBatch
 	}
-	// A negative HedgeBudget (disabled) is kept as-is so WithDefaults is
-	// idempotent: mapping it to 0 would turn into the default of 4 on a
-	// second application.
 	if r.HedgeBudget == 0 {
 		r.HedgeBudget = 4
 	}

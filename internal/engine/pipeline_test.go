@@ -81,7 +81,7 @@ func TestHedgingSafeUnderChaos(t *testing.T) {
 				key, err, len(f.eng.DLQ()))
 		}
 	}
-	if got := dup.duplicates(); got != 0 {
+	if got := dup.Duplicates(); got != 0 {
 		t.Fatalf("%d duplicate final writes with hedging under chaos, want 0", got)
 	}
 	if f.w.Metrics.Counter("engine.parts.hedged").Value() == 0 {

@@ -22,30 +22,31 @@ type DelayRecord struct {
 	Delay     time.Duration
 }
 
-// trackerShards is the pending-state fan-out. Power of two so the key
-// hash folds with a mask; 16 keeps the fixed per-poll cost (one heap peek
-// per shard) negligible while bounding each shard's map to 1/16 of the
-// backlog.
-const trackerShards = 16
-
 // Tracker resolves replication delays. Every source event registers here
 // when the notification arrives; completions resolve all registered events
 // of the key whose version is not newer than the replicated one, so
 // SLO-bounded batching and lock-coalesced versions are measured correctly.
 //
-// Pending state is sharded by key hash, and each shard keeps a min-heap
-// on event time with lazy deletion, so the watermark queries the burn-rate
-// evaluator polls every round (OldestPending, OverdueCount) cost one heap
-// peek / bounded heap walk per shard instead of a scan over every pending
-// event in the fleet.
+// Pending events also sit in a min-heap on event time with lazy deletion,
+// so the watermark queries the burn-rate evaluator polls every round
+// (OldestPending, OverdueCount) cost one heap peek / bounded heap walk
+// instead of a scan over every pending event. One map and one heap under
+// one lock: trackers are per rule and the clock runs one actor at a time,
+// so there is no contention for shards to relieve.
 type Tracker struct {
-	shards [trackerShards]trackerShard
+	mu       sync.Mutex
+	pending  map[string][]pendingEvent
+	resolved map[string]uint64 // per-key high-water mark of resolved versions
+	n        int               // live pending events
+	records  []DelayRecord     // in resolve order
 
-	// mu guards the resolved-record log and the instrument wiring; the
-	// per-shard locks guard pending state. Records still append in global
-	// resolve order, so exported delay series are unchanged by sharding.
-	mu      sync.Mutex
-	records []DelayRecord
+	// byTime orders the pending events by (at, key, seq) — a total order,
+	// so heap contents are a pure function of the event sequence.
+	// Resolution deletes lazily: entries whose (key, seq) is no longer in
+	// pending are skipped on peek and swept out by rebuilds once the dead
+	// outnumber the live.
+	byTime evHeap
+	dead   int
 
 	delayHist *telemetry.Histogram // optional; nil no-ops
 
@@ -57,21 +58,6 @@ type Tracker struct {
 	lagHist  *telemetry.Histogram
 	backlog  telemetry.MirrorGauge
 	oldestMS *telemetry.Gauge
-}
-
-type trackerShard struct {
-	mu       sync.Mutex
-	pending  map[string][]pendingEvent
-	resolved map[string]uint64 // per-key high-water mark of resolved versions
-	n        int               // live pending events in this shard
-
-	// byTime orders the shard's pending events by (at, key, seq) — a total
-	// order, so heap contents are a pure function of the event sequence.
-	// Resolution deletes lazily: entries whose (key, seq) is no longer in
-	// pending are skipped on peek and swept out by rebuilds once the dead
-	// outnumber the live.
-	byTime evHeap
-	dead   int
 }
 
 type pendingEvent struct {
@@ -111,30 +97,17 @@ func (h *evHeap) Pop() any {
 
 // NewTracker returns an empty tracker.
 func NewTracker() *Tracker {
-	t := &Tracker{}
-	for i := range t.shards {
-		t.shards[i].pending = make(map[string][]pendingEvent)
-		t.shards[i].resolved = make(map[string]uint64)
+	return &Tracker{
+		pending:  make(map[string][]pendingEvent),
+		resolved: make(map[string]uint64),
 	}
-	return t
-}
-
-// shard routes a key to its pending shard (FNV-1a, inlined to avoid the
-// hash.Hash allocation on every notification).
-func (t *Tracker) shard(key string) *trackerShard {
-	h := uint32(2166136261)
-	for i := 0; i < len(key); i++ {
-		h ^= uint32(key[i])
-		h *= 16777619
-	}
-	return &t.shards[h&(trackerShards-1)]
 }
 
 // alive reports whether the heap entry still refers to a pending event.
-// Caller holds the shard lock; per-key slices hold the few unresolved
-// versions of one object, so the scan is constant-time in practice.
-func (s *trackerShard) alive(ev heapEv) bool {
-	for _, p := range s.pending[ev.key] {
+// Caller holds mu; per-key slices hold the few unresolved versions of one
+// object, so the scan is constant-time in practice.
+func (t *Tracker) alive(ev heapEv) bool {
+	for _, p := range t.pending[ev.key] {
 		if p.seq == ev.seq {
 			return true
 		}
@@ -143,29 +116,29 @@ func (s *trackerShard) alive(ev heapEv) bool {
 }
 
 // pruneTop pops dead entries off the heap until the min is live (or the
-// heap is empty). Caller holds the shard lock.
-func (s *trackerShard) pruneTop() {
-	for len(s.byTime) > 0 && !s.alive(s.byTime[0]) {
-		heap.Pop(&s.byTime)
-		s.dead--
+// heap is empty). Caller holds mu.
+func (t *Tracker) pruneTop() {
+	for len(t.byTime) > 0 && !t.alive(t.byTime[0]) {
+		heap.Pop(&t.byTime)
+		t.dead--
 	}
 }
 
 // sweep rebuilds the heap from the pending map once dead entries
 // outnumber live ones, bounding heap size at 2x the live backlog. Caller
-// holds the shard lock.
-func (s *trackerShard) sweep() {
-	if s.dead <= s.n {
+// holds mu.
+func (t *Tracker) sweep() {
+	if t.dead <= t.n {
 		return
 	}
-	s.byTime = s.byTime[:0]
-	for key, evs := range s.pending {
+	t.byTime = t.byTime[:0]
+	for key, evs := range t.pending {
 		for _, p := range evs {
-			s.byTime = append(s.byTime, heapEv{at: p.at, key: key, seq: p.seq})
+			t.byTime = append(t.byTime, heapEv{at: p.at, key: key, seq: p.seq})
 		}
 	}
-	heap.Init(&s.byTime)
-	s.dead = 0
+	heap.Init(&t.byTime)
+	t.dead = 0
 }
 
 // SetTelemetry feeds every resolved delay into hist (the paper's
@@ -196,22 +169,19 @@ func (t *Tracker) SetWatermarks(lag *telemetry.Histogram, backlog telemetry.Mirr
 // dedupe that keeps at-least-once notification delivery from causing
 // duplicate replication work.
 func (t *Tracker) OnSource(ev objstore.Event) bool {
-	s := t.shard(ev.Key)
-	s.mu.Lock()
-	if ev.Seq <= s.resolved[ev.Key] {
-		s.mu.Unlock()
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if ev.Seq <= t.resolved[ev.Key] {
 		return false
 	}
-	for _, p := range s.pending[ev.Key] {
+	for _, p := range t.pending[ev.Key] {
 		if p.seq == ev.Seq {
-			s.mu.Unlock()
 			return false
 		}
 	}
-	s.pending[ev.Key] = append(s.pending[ev.Key], pendingEvent{seq: ev.Seq, size: ev.Size, at: ev.Time})
-	heap.Push(&s.byTime, heapEv{at: ev.Time, key: ev.Key, seq: ev.Seq})
-	s.n++
-	s.mu.Unlock()
+	t.pending[ev.Key] = append(t.pending[ev.Key], pendingEvent{seq: ev.Seq, size: ev.Size, at: ev.Time})
+	heap.Push(&t.byTime, heapEv{at: ev.Time, key: ev.Key, seq: ev.Seq})
+	t.n++
 	t.backlog.Add(1)
 	return true
 }
@@ -227,12 +197,12 @@ func (t *Tracker) Resolve(key string, seq uint64, done time.Time) {
 // histograms, linking the bucket to the completing task's trace if that
 // trace survives retention. A nil span resolves without exemplars.
 func (t *Tracker) ResolveSpan(key string, seq uint64, done time.Time, sp *telemetry.Span) {
-	s := t.shard(key)
-	s.mu.Lock()
-	if seq > s.resolved[key] {
-		s.resolved[key] = seq
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if seq > t.resolved[key] {
+		t.resolved[key] = seq
 	}
-	evs := s.pending[key]
+	evs := t.pending[key]
 	var hits []pendingEvent
 	remaining := evs[:0]
 	for _, ev := range evs {
@@ -242,22 +212,18 @@ func (t *Tracker) ResolveSpan(key string, seq uint64, done time.Time, sp *teleme
 			remaining = append(remaining, ev)
 		}
 	}
-	if len(hits) > 0 {
-		if len(remaining) == 0 {
-			delete(s.pending, key)
-		} else {
-			s.pending[key] = remaining
-		}
-		s.n -= len(hits)
-		s.dead += len(hits)
-		s.sweep()
-	}
-	s.mu.Unlock()
 	if len(hits) == 0 {
 		return
 	}
+	if len(remaining) == 0 {
+		delete(t.pending, key)
+	} else {
+		t.pending[key] = remaining
+	}
+	t.n -= len(hits)
+	t.dead += len(hits)
+	t.sweep()
 
-	t.mu.Lock()
 	for _, ev := range hits {
 		d := done.Sub(ev.at)
 		t.records = append(t.records, DelayRecord{
@@ -275,7 +241,6 @@ func (t *Tracker) ResolveSpan(key string, seq uint64, done time.Time, sp *teleme
 		sp.Exemplar(t.lagHist, secs)
 		t.backlog.Add(-1)
 	}
-	t.mu.Unlock()
 }
 
 // Records returns a copy of the resolved delay records.
@@ -298,41 +263,29 @@ func (t *Tracker) DelaysSeconds() []float64 {
 
 // PendingFor reports whether any event for key awaits resolution.
 func (t *Tracker) PendingFor(key string) bool {
-	s := t.shard(key)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.pending[key]) > 0
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return len(t.pending[key]) > 0
 }
 
 // PendingCount reports events that have not been resolved yet.
 func (t *Tracker) PendingCount() int {
-	n := 0
-	for i := range t.shards {
-		s := &t.shards[i]
-		s.mu.Lock()
-		n += s.n
-		s.mu.Unlock()
-	}
-	return n
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.n
 }
 
 // OldestPending returns the age at `now` of the oldest unreplicated
 // source event, or 0 when nothing is pending — the watermark behind the
-// oldest-unreplicated-age gauge. One pruned heap peek per shard.
+// oldest-unreplicated-age gauge. One pruned heap peek.
 func (t *Tracker) OldestPending(now time.Time) time.Duration {
-	var oldest time.Duration
-	for i := range t.shards {
-		s := &t.shards[i]
-		s.mu.Lock()
-		s.pruneTop()
-		if len(s.byTime) > 0 {
-			if age := now.Sub(s.byTime[0].at); age > oldest {
-				oldest = age
-			}
-		}
-		s.mu.Unlock()
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	t.pruneTop()
+	if len(t.byTime) == 0 {
+		return 0
 	}
-	return oldest
+	return max(now.Sub(t.byTime[0].at), 0)
 }
 
 // SampleWatermarks refreshes the oldest-unreplicated-age gauge at the
@@ -352,30 +305,24 @@ func (t *Tracker) SampleWatermarks(now time.Time) time.Duration {
 // younger than the threshold, so cost scales with the answer (plus any
 // not-yet-swept dead entries), not the backlog.
 func (t *Tracker) OverdueCount(now time.Time, target time.Duration) int {
-	cut := now.Add(-target)
-	n := 0
-	for i := range t.shards {
-		s := &t.shards[i]
-		s.mu.Lock()
-		n += s.overdueFrom(0, cut)
-		s.mu.Unlock()
-	}
-	return n
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.overdueFrom(0, now.Add(-target))
 }
 
 // overdueFrom counts live heap entries strictly older than cut in the
 // subtree rooted at i. Dead entries still carry a valid lower bound for
 // their subtree, so they prune correctly; they just do not count. Caller
-// holds the shard lock.
-func (s *trackerShard) overdueFrom(i int, cut time.Time) int {
-	if i >= len(s.byTime) || !s.byTime[i].at.Before(cut) {
+// holds mu.
+func (t *Tracker) overdueFrom(i int, cut time.Time) int {
+	if i >= len(t.byTime) || !t.byTime[i].at.Before(cut) {
 		return 0
 	}
 	n := 0
-	if s.alive(s.byTime[i]) {
+	if t.alive(t.byTime[i]) {
 		n++
 	}
-	return n + s.overdueFrom(2*i+1, cut) + s.overdueFrom(2*i+2, cut)
+	return n + t.overdueFrom(2*i+1, cut) + t.overdueFrom(2*i+2, cut)
 }
 
 // ResolvedStats counts delay records resolved at or after cut, and how

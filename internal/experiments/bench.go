@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"strings"
 	"time"
 
 	"repro/internal/cloud"
@@ -12,14 +13,13 @@ import (
 	"repro/internal/engine"
 	"repro/internal/fleetobs"
 	"repro/internal/model"
-	"repro/internal/simclock"
 	"repro/internal/stats"
 	"repro/internal/telemetry"
 )
 
 // BenchSchema identifies the BENCH_*.json format; Compare refuses to
 // diff reports of different schemas.
-const BenchSchema = "areplica-bench/v1"
+const BenchSchema = "areplica-bench/v2"
 
 // BenchConfig configures the canonical regression suite.
 type BenchConfig struct {
@@ -37,14 +37,9 @@ type BenchConfig struct {
 	// Events, when non-nil, collects the fault matrix's SLO alert events
 	// (scoped by profile) for export alongside the report.
 	Events *fleetobs.EventLog
-	// MeasureSimRate records each scenario's simulated-seconds per
-	// wall-second throughput (sim_rate). Off by default: the value is
-	// wall-clock dependent, so determinism checks that cmp two reports
-	// byte-for-byte must leave it disabled.
-	MeasureSimRate bool
-	// Fleet adds the fleet-hundred-rules control-plane scenario
-	// (experiments.RunFleet) to the report, gating multi-rule fairness,
-	// shared-quota utilization and exactly-once convergence.
+	// Fleet adds the two fleet presets (experiments.RunFleet) to the
+	// report, gating multi-rule fairness, shared-quota utilization and
+	// exactly-once convergence.
 	Fleet bool
 }
 
@@ -84,11 +79,8 @@ type BenchExperiment struct {
 	// SpansRetained is the telemetry layer's self-overhead gate: how many
 	// spans the tracer held after the scenario's workload (deterministic —
 	// instrumentation growing chattier shows up here before it shows up as
-	// memory). SimRate is simulated-seconds advanced per wall-clock second
-	// (ROADMAP item 2's replay-throughput metric); wall-clock dependent,
-	// only populated under BenchConfig.MeasureSimRate.
-	SpansRetained int64   `json:"spans_retained"`
-	SimRate       float64 `json:"sim_rate,omitempty"`
+	// memory).
+	SpansRetained int64 `json:"spans_retained"`
 }
 
 // BenchFault is one chaos fault-matrix row's regression-relevant subset.
@@ -116,16 +108,24 @@ type BenchFault struct {
 // cost of recovery — checkpointed resume redoing only the in-flight part,
 // not the whole object.
 type BenchCrash struct {
-	Point          string  `json:"point"`
-	Converged      bool    `json:"converged"`
-	DupFinalWrites int     `json:"dup_final_writes"`
-	Resumed        int64   `json:"resumed"`
-	PartsResumed   int64   `json:"parts_resumed"`
-	RedoneBytes    int64   `json:"redone_bytes"`
-	RedoneParts    float64 `json:"redone_parts"`
-	ExtraKVOps     int64   `json:"extra_kv_ops"`
-	GCAborted      int     `json:"gc_aborted"`
-	MPUsLeft       int     `json:"mpus_left"`
+	Point     string `json:"point"`
+	Converged bool   `json:"converged"` // destination holds the source version afterwards
+	// DupFinalWrites counts distinct destination PUTs of an already-current
+	// version — the at-least-once hazard the dedupe layers must keep at 0.
+	DupFinalWrites int   `json:"dup_final_writes"`
+	Resumed        int64 `json:"resumed"`       // tasks that re-attached to a checkpointed MPU
+	PartsResumed   int64 `json:"parts_resumed"` // parts inherited as already delivered
+	// RedoneBytes is the extra wide-area traffic versus the crash-free
+	// baseline — the work the crash forced the system to repeat. Checkpoint
+	// resume bounds it to about one part; a from-scratch restart would redo
+	// the whole object. RedoneParts is RedoneBytes / part size.
+	RedoneBytes int64   `json:"redone_bytes"`
+	RedoneParts float64 `json:"redone_parts"`
+	// ExtraKVOps is the coordination overhead versus baseline: the
+	// checkpoint write/read, the re-attach, and the retry's lock traffic.
+	ExtraKVOps int64 `json:"extra_kv_ops"`
+	GCAborted  int   `json:"gc_aborted"` // orphaned MPUs the garbage collector reclaimed
+	MPUsLeft   int   `json:"mpus_left"`  // in-progress MPUs still open after GC (want 0)
 }
 
 // BenchScrub is one anti-entropy sweep row's regression-relevant subset
@@ -133,50 +133,24 @@ type BenchCrash struct {
 // lossy workload produces; cadence rows pin full convergence and the
 // digest traffic paid for it.
 type BenchScrub struct {
-	Cadence            string  `json:"cadence"`
+	Cadence            string  `json:"cadence"` // "off" for the no-scrub baseline
 	ConvergencePct     float64 `json:"convergence_pct"`
-	ResidualDivergence int     `json:"residual_divergence"`
+	ResidualDivergence int     `json:"residual_divergence"` // missing + stale + orphaned keys at the final audit
 	Rounds             int64   `json:"rounds"`
 	DigestBytes        int64   `json:"digest_bytes"`
 	DupFinalWrites     int     `json:"dup_final_writes"`
-	ScrubCostUSD       float64 `json:"scrub_cost_usd"`
+	ScrubCostUSD       float64 `json:"scrub_cost_usd"` // marginal cost vs the no-scrub baseline
 }
 
-// BenchFleet is the fleet control-plane scenario's regression-relevant
-// subset (BenchConfig.Fleet). Convergence, duplicate final writes, DLQ
-// depth and starvation marks are hard bars (the runs are deterministic);
+// BenchFleet is one fleet preset's regression row (BenchConfig.Fleet).
+// Convergence, duplicate final writes, DLQ depth, pending events and
+// starvation marks are hard bars (the runs are deterministic); replicated
+// objects must not shrink (the fan-out fabric is part of the scenario);
 // the lag-p99 spread and max gate fairness, quota utilization guards
 // against the scheduler under-using paid-for capacity, and cost pins the
-// control plane's dollar overhead.
+// control plane's dollar overhead. Host-side numbers (wall seconds, CPU,
+// allocations) are not here: `go run ./bench` measures those.
 type BenchFleet struct {
-	Name           string  `json:"name"`
-	Rules          int     `json:"rules"`
-	Ops            int     `json:"ops"`
-	ConvergencePct float64 `json:"convergence_pct"`
-	DupFinalWrites int     `json:"dup_final_writes"`
-	DLQ            int     `json:"dlq"`
-	Starved        int64   `json:"starved"`
-	Admits         int64   `json:"admits"`
-	Defers         int64   `json:"defers"`
-	QuotaWaits     int64   `json:"quota_waits"`
-	Batches        int64   `json:"batches"`
-	BatchMeanSize  float64 `json:"batch_mean_size"`
-	QuotaUtilPct   float64 `json:"quota_util_pct"`
-	LagP99MaxS     float64 `json:"lag_p99_max_s"`
-	LagP99SpreadS  float64 `json:"lag_p99_spread_s"`
-	CostUSD        float64 `json:"cost_usd"`
-}
-
-// BenchFleetDay is the fleet-day replay's regression row
-// (experiments.RunFleetDay, emitted alongside BenchFleet under
-// BenchConfig.Fleet). Convergence, duplicate final writes and DLQ depth
-// are hard bars; replicated objects must not shrink (the amplification
-// fabric is part of the scenario); the rate fields — populated only when
-// the run measured wall clock — gate the simulator's own speed: sim_rate
-// halving is an event-loop collapse, rule_sim_rate under 50k means a
-// full-scale fleet day no longer replays at interactive wall clock, and
-// allocs/object creeping up is the allocation discipline eroding.
-type BenchFleetDay struct {
 	Name              string  `json:"name"`
 	Rules             int     `json:"rules"`
 	Entries           int     `json:"entries"`
@@ -187,11 +161,16 @@ type BenchFleetDay struct {
 	DLQ               int     `json:"dlq"`
 	Pending           int     `json:"pending"`
 	Starved           int64   `json:"starved"`
+	Admits            int64   `json:"admits"`
+	Defers            int64   `json:"defers"`
+	QuotaWaits        int64   `json:"quota_waits"`
+	Batches           int64   `json:"batches"`
+	BatchMeanSize     float64 `json:"batch_mean_size"`
+	QuotaUtilPct      float64 `json:"quota_util_pct"`
+	LagP99MaxS        float64 `json:"lag_p99_max_s"`
+	LagP99SpreadS     float64 `json:"lag_p99_spread_s"`
 	VirtualHours      float64 `json:"virtual_hours"`
 	CostUSD           float64 `json:"cost_usd"`
-	SimRate           float64 `json:"sim_rate,omitempty"`
-	RuleSimRate       float64 `json:"rule_sim_rate,omitempty"`
-	AllocsPerObject   float64 `json:"allocs_per_object,omitempty"`
 }
 
 // BenchReport is the BENCH_*.json document: the canonical quick suite's
@@ -205,7 +184,6 @@ type BenchReport struct {
 	CrashSweep  []BenchCrash      `json:"crash_sweep,omitempty"`
 	Scrub       []BenchScrub      `json:"scrub,omitempty"`
 	Fleet       []BenchFleet      `json:"fleet,omitempty"`
-	FleetDay    []BenchFleetDay   `json:"fleet_day,omitempty"`
 }
 
 // benchScenario is one canonical replication workload.
@@ -265,7 +243,7 @@ func RunBench(cfg BenchConfig) (*BenchReport, error) {
 	rep := &BenchReport{Schema: BenchSchema, Suite: suite}
 
 	for _, sc := range benchScenarios() {
-		exp, err := runBenchScenario(sc, cfg.Quick, interval, cfg.MeasureSimRate)
+		exp, err := runBenchScenario(sc, cfg.Quick, interval)
 		if err != nil {
 			return nil, fmt.Errorf("bench %s: %w", sc.name, err)
 		}
@@ -284,17 +262,7 @@ func RunBench(cfg BenchConfig) (*BenchReport, error) {
 		return nil, fmt.Errorf("bench fault matrix: %w", err)
 	}
 	for _, s := range fm.Scenarios {
-		rep.FaultMatrix = append(rep.FaultMatrix, BenchFault{
-			Profile:         s.Profile,
-			ConvergencePct:  s.ConvergencePct,
-			P50S:            s.P50S,
-			P99S:            s.P99S,
-			DLQ:             s.DLQ,
-			CostOverheadPct: s.CostOverheadPct,
-			LagP99S:         s.LagP99S,
-			BacklogMax:      s.BacklogMax,
-			SLOAlerts:       s.SLOAlerts,
-		})
+		rep.FaultMatrix = append(rep.FaultMatrix, s.BenchFault)
 	}
 
 	// Crash-point sweep: cheap (one object per point) and always on, so
@@ -304,18 +272,7 @@ func RunBench(cfg BenchConfig) (*BenchReport, error) {
 		return nil, fmt.Errorf("bench crash sweep: %w", err)
 	}
 	for _, p := range cs.Points {
-		rep.CrashSweep = append(rep.CrashSweep, BenchCrash{
-			Point:          p.Point,
-			Converged:      p.Converged,
-			DupFinalWrites: p.DupFinalWrites,
-			Resumed:        p.Resumed,
-			PartsResumed:   p.PartsResumed,
-			RedoneBytes:    p.RedoneBytes,
-			RedoneParts:    p.RedoneParts,
-			ExtraKVOps:     p.ExtraKVOps,
-			GCAborted:      p.GCAborted,
-			MPUsLeft:       p.MPUsLeft,
-		})
+		rep.CrashSweep = append(rep.CrashSweep, p.BenchCrash)
 	}
 
 	if cfg.Scrub {
@@ -324,70 +281,25 @@ func RunBench(cfg BenchConfig) (*BenchReport, error) {
 			return nil, fmt.Errorf("bench scrub sweep: %w", err)
 		}
 		for _, p := range sw.Points {
-			rep.Scrub = append(rep.Scrub, BenchScrub{
-				Cadence:            p.Cadence,
-				ConvergencePct:     p.ConvergencePct,
-				ResidualDivergence: p.ResidualDivergence,
-				Rounds:             p.Rounds,
-				DigestBytes:        p.DigestBytes,
-				DupFinalWrites:     p.DupFinalWrites,
-				ScrubCostUSD:       p.ScrubCostUSD,
-			})
+			rep.Scrub = append(rep.Scrub, p.BenchScrub)
 		}
 	}
 
 	if cfg.Fleet {
-		fr, err := RunFleet(FleetConfig{Quick: cfg.Quick})
-		if err != nil {
-			return nil, fmt.Errorf("bench fleet: %w", err)
+		for _, preset := range []string{FleetHundred, FleetDay} {
+			fr, err := RunFleet(FleetConfig{Preset: preset, Quick: cfg.Quick})
+			if err != nil {
+				return nil, fmt.Errorf("bench %s: %w", preset, err)
+			}
+			rep.Fleet = append(rep.Fleet, fr.BenchFleet)
 		}
-		rep.Fleet = append(rep.Fleet, BenchFleet{
-			Name:           "fleet-hundred-rules",
-			Rules:          fr.Rules,
-			Ops:            fr.Ops,
-			ConvergencePct: fr.ConvergencePct,
-			DupFinalWrites: fr.DupFinalWrites,
-			DLQ:            fr.DLQ,
-			Starved:        fr.Starved,
-			Admits:         fr.Admits,
-			Defers:         fr.Defers,
-			QuotaWaits:     fr.QuotaWaits,
-			Batches:        fr.Batches,
-			BatchMeanSize:  fr.BatchMeanSize,
-			QuotaUtilPct:   fr.QuotaUtilPct,
-			LagP99MaxS:     fr.LagP99MaxS,
-			LagP99SpreadS:  fr.LagP99SpreadS,
-			CostUSD:        fr.CostUSD,
-		})
-
-		fd, err := RunFleetDay(FleetDayConfig{Quick: cfg.Quick, MeasureRates: cfg.MeasureSimRate})
-		if err != nil {
-			return nil, fmt.Errorf("bench fleet-day: %w", err)
-		}
-		rep.FleetDay = append(rep.FleetDay, BenchFleetDay{
-			Name:              "fleet-day",
-			Rules:             fd.Rules,
-			Entries:           fd.Entries,
-			Ops:               fd.Ops,
-			ReplicatedObjects: fd.ReplicatedObjects,
-			ConvergencePct:    fd.ConvergencePct,
-			DupFinalWrites:    fd.DupFinalWrites,
-			DLQ:               fd.DLQ,
-			Pending:           fd.Pending,
-			Starved:           fd.Starved,
-			VirtualHours:      fd.VirtualHours,
-			CostUSD:           fd.CostUSD,
-			SimRate:           fd.SimRate,
-			RuleSimRate:       fd.RuleSimRate,
-			AllocsPerObject:   fd.AllocsPerObject,
-		})
 	}
 	return rep, nil
 }
 
 // runBenchScenario replays one scenario on a fresh world with tracing and
 // virtual-time sampling enabled.
-func runBenchScenario(sc benchScenario, quick bool, interval time.Duration, simRate bool) (BenchExperiment, error) {
+func runBenchScenario(sc benchScenario, quick bool, interval time.Duration) (BenchExperiment, error) {
 	w := newWorld("bench-" + sc.name)
 	srcBucket, dstBucket := "bench-src", "bench-dst"
 	mustCreate(w, sc.src, srcBucket, true)
@@ -422,8 +334,6 @@ func runBenchScenario(sc benchScenario, quick bool, interval time.Duration, simR
 	kvWrites := w.Metrics.Counter("kvstore.writes")
 	kvBase := kvReads.Value() + kvWrites.Value()
 	var total int64
-	virtStart := w.Clock.Now()
-	wallStart := time.Now()
 	cost := costDelta(w, func() {
 		for i := 0; i < objects; i++ {
 			size := sc.sizes[i%len(sc.sizes)]
@@ -433,8 +343,6 @@ func runBenchScenario(sc benchScenario, quick bool, interval time.Duration, simR
 			sampler.Poll()
 		}
 	})
-	wallSecs := time.Since(wallStart).Seconds()
-	virtSecs := simclock.ToSeconds(w.Clock.Now().Sub(virtStart))
 	sampler.Poll()
 
 	delays := svc.Engine.Tracker.DelaysSeconds()
@@ -457,9 +365,6 @@ func runBenchScenario(sc benchScenario, quick bool, interval time.Duration, simR
 		DegradedS:  agg.Degraded.Seconds(),
 
 		SpansRetained: w.Tracer.Stats().SpansRetained,
-	}
-	if simRate && wallSecs > 0 {
-		exp.SimRate = virtSecs / wallSecs
 	}
 	for _, s := range agg.Shares {
 		exp.Categories = append(exp.Categories, BenchCategory{
@@ -505,275 +410,230 @@ func (t BenchTolerance) rel() float64 {
 	return t.Relative
 }
 
-// exceeds reports whether got regressed past old by more than the
-// relative slack plus the absolute floor.
-func (t BenchTolerance) exceeds(old, got, absFloor float64) bool {
-	return got > old*(1+t.rel())+absFloor
+// gateKind is how a gate judges a new value against the baseline's.
+type gateKind int
+
+const (
+	// relFloor: may grow by the relative slack plus param (an absolute
+	// floor), no further.
+	relFloor gateKind = iota
+	noGrow            // must not exceed the baseline
+	maxDrop           // may fall at most param below the baseline (0: must not shrink)
+	notZero           // must stay non-zero where the baseline was
+	equalBar          // must equal param, whatever the baseline says
+)
+
+// gate is one regression rule over one field of a report row. format is
+// the message after "<section> <key>: "; its verbs see (baseline, new), or
+// only the new value for an equalBar.
+type gate[R any] struct {
+	kind   gateKind
+	param  float64
+	get    func(R) float64
+	format string
 }
 
-// CompareBench diffs a new report against a baseline and returns one
-// human-readable line per regression (empty = pass). Checked per
-// experiment: p50/p99 replication delay (floor 0.05 s), dollar cost
-// (floor 1e-5); per fault-matrix row: convergence (≥1 point drop),
-// p99 under faults, and DLQ growth. A missing experiment/profile or a
-// schema mismatch is itself a regression; new entries absent from the
-// baseline pass (they have nothing to regress against).
-func CompareBench(baseline, got *BenchReport, tol BenchTolerance) []string {
+func (g gate[R]) broken(old, got float64, tol BenchTolerance) bool {
+	switch g.kind {
+	case relFloor:
+		return got > old*(1+tol.rel())+g.param
+	case noGrow:
+		return got > old
+	case maxDrop:
+		return got < old-g.param
+	case notZero:
+		return old > 0 && got == 0
+	default: // equalBar
+		return got != g.param
+	}
+}
+
+// section is the gate table of one BenchReport array: rows pair up by key,
+// a baseline row without a partner is itself a regression, and rows new to
+// the report pass (they have nothing to regress against).
+type section[R any] struct {
+	prefix  string // message prefix, e.g. "fault "
+	missing string // what a row is called when it has gone
+	key     func(R) string
+	gates   []gate[R]
+}
+
+func (s section[R]) compare(baseline, got []R, tol BenchTolerance) []string {
+	byKey := make(map[string]R, len(got))
+	for _, r := range got {
+		byKey[s.key(r)] = r
+	}
 	var regs []string
-	if baseline.Schema != got.Schema {
-		return []string{fmt.Sprintf("schema mismatch: baseline %q vs new %q", baseline.Schema, got.Schema)}
-	}
-	if baseline.Suite != got.Suite {
-		regs = append(regs, fmt.Sprintf("suite mismatch: baseline %q vs new %q", baseline.Suite, got.Suite))
-	}
-
-	newExp := make(map[string]BenchExperiment, len(got.Experiments))
-	for _, e := range got.Experiments {
-		newExp[e.Name] = e
-	}
-	for _, old := range baseline.Experiments {
-		e, ok := newExp[old.Name]
+	for _, old := range baseline {
+		head := s.prefix + s.key(old) + ": "
+		r, ok := byKey[s.key(old)]
 		if !ok {
-			regs = append(regs, fmt.Sprintf("%s: experiment missing from new report", old.Name))
+			regs = append(regs, head+s.missing+" missing from new report")
 			continue
 		}
-		if tol.exceeds(old.P50S, e.P50S, 0.05) {
-			regs = append(regs, fmt.Sprintf("%s: p50 %.3fs -> %.3fs (tol %.0f%%)", old.Name, old.P50S, e.P50S, 100*tol.rel()))
-		}
-		if tol.exceeds(old.P99S, e.P99S, 0.05) {
-			regs = append(regs, fmt.Sprintf("%s: p99 %.3fs -> %.3fs (tol %.0f%%)", old.Name, old.P99S, e.P99S, 100*tol.rel()))
-		}
-		if tol.exceeds(old.CostUSD, e.CostUSD, 1e-5) {
-			regs = append(regs, fmt.Sprintf("%s: cost $%.6f -> $%.6f (tol %.0f%%)", old.Name, old.CostUSD, e.CostUSD, 100*tol.rel()))
-		}
-		// Coordination footprint: a claim-batching regression shows up as
-		// KV ops growing back toward two-per-part (floor 8 = two tasks'
-		// fixed orchestration writes).
-		if old.KVOps > 0 && tol.exceeds(float64(old.KVOps), float64(e.KVOps), 8) {
-			regs = append(regs, fmt.Sprintf("%s: kv ops %d -> %d (tol %.0f%%)", old.Name, old.KVOps, e.KVOps, 100*tol.rel()))
-		}
-		// Telemetry self-overhead: span volume is deterministic, so growth
-		// past the slack (floor 16 = a few extra spans per task) means the
-		// instrumentation got chattier; a drop to zero means tracing died.
-		if old.SpansRetained > 0 {
-			if e.SpansRetained == 0 {
-				regs = append(regs, fmt.Sprintf("%s: spans retained %d -> 0 (tracing broken?)", old.Name, old.SpansRetained))
-			} else if tol.exceeds(float64(old.SpansRetained), float64(e.SpansRetained), 16) {
-				regs = append(regs, fmt.Sprintf("%s: spans retained %d -> %d (tol %.0f%%)", old.Name, old.SpansRetained, e.SpansRetained, 100*tol.rel()))
+		for _, g := range s.gates {
+			o, n := g.get(old), g.get(r)
+			if !g.broken(o, n, tol) {
+				continue
 			}
-		}
-		// Replay throughput (simulated-seconds per wall-second): compared
-		// only when both reports measured it. Wall clocks vary across
-		// machines, so the gate is a factor-8 collapse, not the usual
-		// relative slack — it catches "the simulator got an order of
-		// magnitude slower", not scheduler jitter.
-		if old.SimRate > 0 && e.SimRate > 0 && e.SimRate < old.SimRate/8 {
-			regs = append(regs, fmt.Sprintf("%s: sim rate %.0fx -> %.0fx (floor %.0fx)", old.Name, old.SimRate, e.SimRate, old.SimRate/8))
-		}
-	}
-
-	newFault := make(map[string]BenchFault, len(got.FaultMatrix))
-	for _, f := range got.FaultMatrix {
-		newFault[f.Profile] = f
-	}
-	for _, old := range baseline.FaultMatrix {
-		f, ok := newFault[old.Profile]
-		if !ok {
-			regs = append(regs, fmt.Sprintf("fault %s: profile missing from new report", old.Profile))
-			continue
-		}
-		if f.ConvergencePct < old.ConvergencePct-1.0 {
-			regs = append(regs, fmt.Sprintf("fault %s: convergence %.1f%% -> %.1f%%", old.Profile, old.ConvergencePct, f.ConvergencePct))
-		}
-		if tol.exceeds(old.P99S, f.P99S, 0.25) {
-			regs = append(regs, fmt.Sprintf("fault %s: p99 %.3fs -> %.3fs (tol %.0f%%)", old.Profile, old.P99S, f.P99S, 100*tol.rel()))
-		}
-		if f.DLQ > old.DLQ {
-			regs = append(regs, fmt.Sprintf("fault %s: DLQ depth %d -> %d", old.Profile, old.DLQ, f.DLQ))
-		}
-		// Observability watermarks: the streaming lag p99 may drift by the
-		// relative slack (floor 0.05 s), the backlog high-water by the
-		// slack plus two events; new SLO alerts on a profile that used to
-		// stay quiet (or alert less) are a hard regression — the runs are
-		// deterministic, so any growth is a real behavior change.
-		if tol.exceeds(old.LagP99S, f.LagP99S, 0.05) {
-			regs = append(regs, fmt.Sprintf("fault %s: lag p99 %.3fs -> %.3fs (tol %.0f%%)", old.Profile, old.LagP99S, f.LagP99S, 100*tol.rel()))
-		}
-		if tol.exceeds(float64(old.BacklogMax), float64(f.BacklogMax), 2) {
-			regs = append(regs, fmt.Sprintf("fault %s: backlog max %d -> %d (tol %.0f%%)", old.Profile, old.BacklogMax, f.BacklogMax, 100*tol.rel()))
-		}
-		if f.SLOAlerts > old.SLOAlerts {
-			regs = append(regs, fmt.Sprintf("fault %s: SLO alerts %d -> %d", old.Profile, old.SLOAlerts, f.SLOAlerts))
-		}
-	}
-
-	// Crash sweep: recovery is gated hard — a crash point that converged in
-	// the baseline must still converge, duplicate final writes and leaked
-	// MPUs must not grow above the baseline's (zero) counts, and the cost
-	// of recovery (redone bytes, extra KV ops) may drift only by the
-	// relative slack plus small floors (half a part of wide-area rework,
-	// four KV operations).
-	newCrash := make(map[string]BenchCrash, len(got.CrashSweep))
-	for _, c := range got.CrashSweep {
-		newCrash[c.Point] = c
-	}
-	for _, old := range baseline.CrashSweep {
-		c, ok := newCrash[old.Point]
-		if !ok {
-			regs = append(regs, fmt.Sprintf("crash %s: point missing from new report", old.Point))
-			continue
-		}
-		if old.Converged && !c.Converged {
-			regs = append(regs, fmt.Sprintf("crash %s: no longer converges after the crash", old.Point))
-		}
-		if c.DupFinalWrites > old.DupFinalWrites {
-			regs = append(regs, fmt.Sprintf("crash %s: duplicate final writes %d -> %d", old.Point, old.DupFinalWrites, c.DupFinalWrites))
-		}
-		if c.MPUsLeft > old.MPUsLeft {
-			regs = append(regs, fmt.Sprintf("crash %s: leaked in-progress MPUs %d -> %d", old.Point, old.MPUsLeft, c.MPUsLeft))
-		}
-		if tol.exceeds(float64(old.RedoneBytes), float64(c.RedoneBytes), float64(4*1024*1024)) {
-			regs = append(regs, fmt.Sprintf("crash %s: redone bytes %d -> %d (tol %.0f%%)", old.Point, old.RedoneBytes, c.RedoneBytes, 100*tol.rel()))
-		}
-		if tol.exceeds(float64(old.ExtraKVOps), float64(c.ExtraKVOps), 4) {
-			regs = append(regs, fmt.Sprintf("crash %s: extra kv ops %d -> %d (tol %.0f%%)", old.Point, old.ExtraKVOps, c.ExtraKVOps, 100*tol.rel()))
-		}
-	}
-
-	// Scrub sweep: scrubbed cadences must not converge less or leave more
-	// divergence behind than the baseline run did; duplicate final writes
-	// are a hard zero-tolerance bar; digest traffic may drift by the
-	// relative slack plus one root exchange's floor.
-	newScrub := make(map[string]BenchScrub, len(got.Scrub))
-	for _, s := range got.Scrub {
-		newScrub[s.Cadence] = s
-	}
-	for _, old := range baseline.Scrub {
-		s, ok := newScrub[old.Cadence]
-		if !ok {
-			regs = append(regs, fmt.Sprintf("scrub %s: cadence missing from new report", old.Cadence))
-			continue
-		}
-		if s.ConvergencePct < old.ConvergencePct-1.0 {
-			regs = append(regs, fmt.Sprintf("scrub %s: convergence %.1f%% -> %.1f%%", old.Cadence, old.ConvergencePct, s.ConvergencePct))
-		}
-		if s.ResidualDivergence > old.ResidualDivergence {
-			regs = append(regs, fmt.Sprintf("scrub %s: residual divergence %d -> %d", old.Cadence, old.ResidualDivergence, s.ResidualDivergence))
-		}
-		if s.DupFinalWrites > old.DupFinalWrites {
-			regs = append(regs, fmt.Sprintf("scrub %s: duplicate final writes %d -> %d", old.Cadence, old.DupFinalWrites, s.DupFinalWrites))
-		}
-		if tol.exceeds(float64(old.DigestBytes), float64(s.DigestBytes), 64) {
-			regs = append(regs, fmt.Sprintf("scrub %s: digest bytes %d -> %d (tol %.0f%%)", old.Cadence, old.DigestBytes, s.DigestBytes, 100*tol.rel()))
-		}
-		if tol.exceeds(old.ScrubCostUSD, s.ScrubCostUSD, 1e-5) {
-			regs = append(regs, fmt.Sprintf("scrub %s: marginal cost $%.6f -> $%.6f (tol %.0f%%)", old.Cadence, old.ScrubCostUSD, s.ScrubCostUSD, 100*tol.rel()))
-		}
-	}
-
-	// Fleet control plane: convergence, duplicate final writes, DLQ depth
-	// and starvation marks are hard bars (deterministic runs — any growth
-	// is a real behavior change); the fairness spread and lag ceiling may
-	// drift by the relative slack plus a 0.25 s floor; quota utilization
-	// collapsing by more than 20 points means the scheduler stopped using
-	// capacity the quotas pay for; cost gets the usual dollar tolerance.
-	newFleet := make(map[string]BenchFleet, len(got.Fleet))
-	for _, f := range got.Fleet {
-		newFleet[f.Name] = f
-	}
-	for _, old := range baseline.Fleet {
-		f, ok := newFleet[old.Name]
-		if !ok {
-			regs = append(regs, fmt.Sprintf("fleet %s: scenario missing from new report", old.Name))
-			continue
-		}
-		if f.ConvergencePct < old.ConvergencePct {
-			regs = append(regs, fmt.Sprintf("fleet %s: convergence %.1f%% -> %.1f%%", old.Name, old.ConvergencePct, f.ConvergencePct))
-		}
-		if f.DupFinalWrites > old.DupFinalWrites {
-			regs = append(regs, fmt.Sprintf("fleet %s: duplicate final writes %d -> %d", old.Name, old.DupFinalWrites, f.DupFinalWrites))
-		}
-		if f.DLQ > old.DLQ {
-			regs = append(regs, fmt.Sprintf("fleet %s: DLQ depth %d -> %d", old.Name, old.DLQ, f.DLQ))
-		}
-		if f.Starved > old.Starved {
-			regs = append(regs, fmt.Sprintf("fleet %s: starvation marks %d -> %d", old.Name, old.Starved, f.Starved))
-		}
-		if tol.exceeds(old.LagP99SpreadS, f.LagP99SpreadS, 0.25) {
-			regs = append(regs, fmt.Sprintf("fleet %s: lag p99 spread %.3fs -> %.3fs (tol %.0f%%)", old.Name, old.LagP99SpreadS, f.LagP99SpreadS, 100*tol.rel()))
-		}
-		if tol.exceeds(old.LagP99MaxS, f.LagP99MaxS, 0.25) {
-			regs = append(regs, fmt.Sprintf("fleet %s: lag p99 max %.3fs -> %.3fs (tol %.0f%%)", old.Name, old.LagP99MaxS, f.LagP99MaxS, 100*tol.rel()))
-		}
-		if f.QuotaUtilPct < old.QuotaUtilPct-20 {
-			regs = append(regs, fmt.Sprintf("fleet %s: quota utilization %.1f%% -> %.1f%%", old.Name, old.QuotaUtilPct, f.QuotaUtilPct))
-		}
-		if tol.exceeds(old.CostUSD, f.CostUSD, 1e-5) {
-			regs = append(regs, fmt.Sprintf("fleet %s: cost $%.6f -> $%.6f (tol %.0f%%)", old.Name, old.CostUSD, f.CostUSD, 100*tol.rel()))
-		}
-	}
-
-	// Fleet-day replay: exactly-once and convergence are hard bars, the
-	// replicated-object count must not shrink (the fan-out fabric is part
-	// of the scenario), and — when both runs measured wall clock — the
-	// rate fields gate the simulator's own speed. SimRate uses a halving
-	// threshold rather than the usual tolerance because wall-clock noise
-	// on shared runners is real but an event-loop collapse is larger
-	// still; RuleSimRate 50k is the absolute interactive-replay floor
-	// (a full 24h thousand-rule day in under half an hour).
-	newDay := make(map[string]BenchFleetDay, len(got.FleetDay))
-	for _, f := range got.FleetDay {
-		newDay[f.Name] = f
-	}
-	for _, old := range baseline.FleetDay {
-		f, ok := newDay[old.Name]
-		if !ok {
-			regs = append(regs, fmt.Sprintf("fleet-day %s: scenario missing from new report", old.Name))
-			continue
-		}
-		if f.ConvergencePct < 100 {
-			regs = append(regs, fmt.Sprintf("fleet-day %s: convergence %.2f%% (must be 100%%)", old.Name, f.ConvergencePct))
-		}
-		if f.DupFinalWrites > 0 {
-			regs = append(regs, fmt.Sprintf("fleet-day %s: %d duplicate final writes (must be 0)", old.Name, f.DupFinalWrites))
-		}
-		if f.DLQ > 0 || f.Pending > 0 {
-			regs = append(regs, fmt.Sprintf("fleet-day %s: %d DLQ / %d pending after drain (must be 0)", old.Name, f.DLQ, f.Pending))
-		}
-		if f.ReplicatedObjects < old.ReplicatedObjects {
-			regs = append(regs, fmt.Sprintf("fleet-day %s: replicated objects %d -> %d", old.Name, old.ReplicatedObjects, f.ReplicatedObjects))
-		}
-		if old.SimRate > 0 && f.SimRate > 0 {
-			if f.SimRate < old.SimRate/2 {
-				regs = append(regs, fmt.Sprintf("fleet-day %s: sim rate collapsed %.0fx -> %.0fx", old.Name, old.SimRate, f.SimRate))
+			msg := g.format
+			switch {
+			case g.kind == equalBar:
+				msg = fmt.Sprintf(msg, n)
+			case g.kind == relFloor:
+				msg = fmt.Sprintf(msg+" (tol %.0f%%)", o, n, 100*tol.rel())
+			case strings.Contains(msg, "%"): // a lost boolean has no values to show
+				msg = fmt.Sprintf(msg, o, n)
 			}
-			if f.RuleSimRate < 50_000 {
-				regs = append(regs, fmt.Sprintf("fleet-day %s: rule-sim rate %.0f below the 50000 interactive floor", old.Name, f.RuleSimRate))
-			}
-		}
-		if old.AllocsPerObject > 0 && f.AllocsPerObject > old.AllocsPerObject*1.5 {
-			regs = append(regs, fmt.Sprintf("fleet-day %s: allocs/object %.0f -> %.0f", old.Name, old.AllocsPerObject, f.AllocsPerObject))
-		}
-		if tol.exceeds(old.CostUSD, f.CostUSD, 1e-5) {
-			regs = append(regs, fmt.Sprintf("fleet-day %s: cost $%.6f -> $%.6f (tol %.0f%%)", old.Name, old.CostUSD, f.CostUSD, 100*tol.rel()))
+			regs = append(regs, head+msg)
 		}
 	}
 	return regs
 }
 
+func b2f(b bool) float64 {
+	if b {
+		return 1
+	}
+	return 0
+}
+
+// Experiments: delay percentiles (floor 0.05 s) and dollar cost (floor
+// 1e-5) get the relative slack. KV ops are the coordination footprint: a
+// claim-batching regression shows up as ops growing back toward
+// two-per-part (floor 8 = two tasks' fixed orchestration writes). Span
+// volume is the telemetry layer's self-overhead and is deterministic, so
+// growth past the slack (floor 16 = a few extra spans per task) means the
+// instrumentation got chattier; a drop to zero means tracing died.
+var experimentGates = section[BenchExperiment]{
+	missing: "experiment",
+	key:     func(e BenchExperiment) string { return e.Name },
+	gates: []gate[BenchExperiment]{
+		{relFloor, 0.05, func(e BenchExperiment) float64 { return e.P50S }, "p50 %.3fs -> %.3fs"},
+		{relFloor, 0.05, func(e BenchExperiment) float64 { return e.P99S }, "p99 %.3fs -> %.3fs"},
+		{relFloor, 1e-5, func(e BenchExperiment) float64 { return e.CostUSD }, "cost $%.6f -> $%.6f"},
+		{relFloor, 8, func(e BenchExperiment) float64 { return float64(e.KVOps) }, "kv ops %.0f -> %.0f"},
+		{notZero, 0, func(e BenchExperiment) float64 { return float64(e.SpansRetained) }, "spans retained %.0f -> %.0f (tracing broken?)"},
+		{relFloor, 16, func(e BenchExperiment) float64 { return float64(e.SpansRetained) }, "spans retained %.0f -> %.0f"},
+	},
+}
+
+// Fault matrix: convergence may drop at most one point, the DLQ must not
+// grow. Observability watermarks: the streaming lag p99 may drift by the
+// relative slack (floor 0.05 s), the backlog high-water by the slack plus
+// two events; new SLO alerts on a profile that used to stay quiet (or
+// alert less) are a hard regression — the runs are deterministic, so any
+// growth is a real behavior change.
+var faultGates = section[BenchFault]{
+	prefix:  "fault ",
+	missing: "profile",
+	key:     func(f BenchFault) string { return f.Profile },
+	gates: []gate[BenchFault]{
+		{maxDrop, 1, func(f BenchFault) float64 { return f.ConvergencePct }, "convergence %.1f%% -> %.1f%%"},
+		{relFloor, 0.25, func(f BenchFault) float64 { return f.P99S }, "p99 %.3fs -> %.3fs"},
+		{noGrow, 0, func(f BenchFault) float64 { return float64(f.DLQ) }, "DLQ depth %.0f -> %.0f"},
+		{relFloor, 0.05, func(f BenchFault) float64 { return f.LagP99S }, "lag p99 %.3fs -> %.3fs"},
+		{relFloor, 2, func(f BenchFault) float64 { return float64(f.BacklogMax) }, "backlog max %.0f -> %.0f"},
+		{noGrow, 0, func(f BenchFault) float64 { return float64(f.SLOAlerts) }, "SLO alerts %.0f -> %.0f"},
+	},
+}
+
+// Crash sweep: recovery is gated hard — a crash point that converged in
+// the baseline must still converge, duplicate final writes and leaked
+// MPUs must not grow above the baseline's (zero) counts, and the cost
+// of recovery (redone bytes, extra KV ops) may drift only by the
+// relative slack plus small floors (half a part of wide-area rework,
+// four KV operations).
+var crashGates = section[BenchCrash]{
+	prefix:  "crash ",
+	missing: "point",
+	key:     func(c BenchCrash) string { return c.Point },
+	gates: []gate[BenchCrash]{
+		{maxDrop, 0, func(c BenchCrash) float64 { return b2f(c.Converged) }, "no longer converges after the crash"},
+		{noGrow, 0, func(c BenchCrash) float64 { return float64(c.DupFinalWrites) }, "duplicate final writes %.0f -> %.0f"},
+		{noGrow, 0, func(c BenchCrash) float64 { return float64(c.MPUsLeft) }, "leaked in-progress MPUs %.0f -> %.0f"},
+		{relFloor, 4 << 20, func(c BenchCrash) float64 { return float64(c.RedoneBytes) }, "redone bytes %.0f -> %.0f"},
+		{relFloor, 4, func(c BenchCrash) float64 { return float64(c.ExtraKVOps) }, "extra kv ops %.0f -> %.0f"},
+	},
+}
+
+// Scrub sweep: scrubbed cadences must not converge less or leave more
+// divergence behind than the baseline run did; duplicate final writes
+// are a hard zero-tolerance bar; digest traffic may drift by the
+// relative slack plus one root exchange's floor.
+var scrubGates = section[BenchScrub]{
+	prefix:  "scrub ",
+	missing: "cadence",
+	key:     func(s BenchScrub) string { return s.Cadence },
+	gates: []gate[BenchScrub]{
+		{maxDrop, 1, func(s BenchScrub) float64 { return s.ConvergencePct }, "convergence %.1f%% -> %.1f%%"},
+		{noGrow, 0, func(s BenchScrub) float64 { return float64(s.ResidualDivergence) }, "residual divergence %.0f -> %.0f"},
+		{noGrow, 0, func(s BenchScrub) float64 { return float64(s.DupFinalWrites) }, "duplicate final writes %.0f -> %.0f"},
+		{relFloor, 64, func(s BenchScrub) float64 { return float64(s.DigestBytes) }, "digest bytes %.0f -> %.0f"},
+		{relFloor, 1e-5, func(s BenchScrub) float64 { return s.ScrubCostUSD }, "marginal cost $%.6f -> $%.6f"},
+	},
+}
+
+// Fleet presets: full convergence, zero duplicate final writes and an
+// empty DLQ with nothing pending are absolute bars (which leaves a
+// baseline nothing to add for those fields); against the baseline,
+// starvation marks must not grow (deterministic runs — any growth is a
+// real behavior change) and the replicated-object count must not shrink
+// (the fan-out fabric is part of the scenario); the fairness spread and lag ceiling may
+// drift by the relative slack plus a 0.25 s floor; quota utilization
+// collapsing by more than 20 points means the scheduler stopped using
+// capacity the quotas pay for; cost gets the usual dollar tolerance.
+var fleetGates = section[BenchFleet]{
+	prefix:  "fleet ",
+	missing: "scenario",
+	key:     func(f BenchFleet) string { return f.Name },
+	gates: []gate[BenchFleet]{
+		{equalBar, 100, func(f BenchFleet) float64 { return f.ConvergencePct }, "convergence %.2f%% (must be 100%%)"},
+		{equalBar, 0, func(f BenchFleet) float64 { return float64(f.DupFinalWrites) }, "%.0f duplicate final writes (must be 0)"},
+		{equalBar, 0, func(f BenchFleet) float64 { return float64(f.DLQ) }, "%.0f DLQ after drain (must be 0)"},
+		{equalBar, 0, func(f BenchFleet) float64 { return float64(f.Pending) }, "%.0f pending after drain (must be 0)"},
+		{noGrow, 0, func(f BenchFleet) float64 { return float64(f.Starved) }, "starvation marks %.0f -> %.0f"},
+		{maxDrop, 0, func(f BenchFleet) float64 { return float64(f.ReplicatedObjects) }, "replicated objects %.0f -> %.0f"},
+		{relFloor, 0.25, func(f BenchFleet) float64 { return f.LagP99SpreadS }, "lag p99 spread %.3fs -> %.3fs"},
+		{relFloor, 0.25, func(f BenchFleet) float64 { return f.LagP99MaxS }, "lag p99 max %.3fs -> %.3fs"},
+		{maxDrop, 20, func(f BenchFleet) float64 { return f.QuotaUtilPct }, "quota utilization %.1f%% -> %.1f%%"},
+		{relFloor, 1e-5, func(f BenchFleet) float64 { return f.CostUSD }, "cost $%.6f -> $%.6f"},
+	},
+}
+
+// CompareBench diffs a new report against a baseline and returns one
+// human-readable line per regression (empty = pass), section by section
+// from the gate tables above. A schema mismatch is itself a regression.
+func CompareBench(baseline, got *BenchReport, tol BenchTolerance) []string {
+	if baseline.Schema != got.Schema {
+		return []string{fmt.Sprintf("schema mismatch: baseline %q vs new %q", baseline.Schema, got.Schema)}
+	}
+	var regs []string
+	if baseline.Suite != got.Suite {
+		regs = append(regs, fmt.Sprintf("suite mismatch: baseline %q vs new %q", baseline.Suite, got.Suite))
+	}
+	regs = append(regs, experimentGates.compare(baseline.Experiments, got.Experiments, tol)...)
+	regs = append(regs, faultGates.compare(baseline.FaultMatrix, got.FaultMatrix, tol)...)
+	regs = append(regs, crashGates.compare(baseline.CrashSweep, got.CrashSweep, tol)...)
+	regs = append(regs, scrubGates.compare(baseline.Scrub, got.Scrub, tol)...)
+	return append(regs, fleetGates.compare(baseline.Fleet, got.Fleet, tol)...)
+}
+
+// FleetBars returns the absolute bars a fleet row breaks: compared with
+// itself, a row can only fail the gates that need no baseline.
+func FleetBars(row BenchFleet) []string {
+	return fleetGates.compare([]BenchFleet{row}, []BenchFleet{row}, BenchTolerance{})
+}
+
 // Print renders the report as a compact human-readable summary.
 func (r *BenchReport) Print(out io.Writer) {
 	fprintf(out, "Bench suite: %s (%s)\n", r.Suite, r.Schema)
-	fprintf(out, "%-26s %4s %10s %8s %8s %10s %7s %-10s %7s %9s\n",
-		"experiment", "n", "bytes", "p50_s", "p99_s", "cost_usd", "kv_ops", "dominant", "spans", "sim_rate")
+	fprintf(out, "%-26s %4s %10s %8s %8s %10s %7s %-10s %7s\n",
+		"experiment", "n", "bytes", "p50_s", "p99_s", "cost_usd", "kv_ops", "dominant", "spans")
 	for _, e := range r.Experiments {
-		rate := "-"
-		if e.SimRate > 0 {
-			rate = fmt.Sprintf("%.0fx", e.SimRate)
-		}
-		fprintf(out, "%-26s %4d %10d %8.2f %8.2f %10.4f %7d %-10s %7d %9s\n",
+		fprintf(out, "%-26s %4d %10d %8.2f %8.2f %10.4f %7d %-10s %7d\n",
 			e.Name, e.Objects, e.BytesTotal, e.P50S, e.P99S, e.CostUSD, e.KVOps, e.Dominant,
-			e.SpansRetained, rate)
+			e.SpansRetained)
 	}
 	if len(r.FaultMatrix) > 0 {
 		fprintf(out, "%-26s %9s %8s %8s %4s %9s %8s %7s %6s\n",
@@ -805,28 +665,13 @@ func (r *BenchReport) Print(out io.Writer) {
 		}
 	}
 	if len(r.Fleet) > 0 {
-		fprintf(out, "%-26s %5s %9s %4s %4s %7s %8s %8s %8s %10s\n",
-			"fleet scenario", "rules", "converge", "dup", "dlq", "starved",
+		fprintf(out, "%-26s %5s %8s %9s %4s %4s %7s %8s %8s %8s %10s\n",
+			"fleet scenario", "rules", "objects", "converge", "dup", "dlq", "starved",
 			"util", "spread_s", "max_s", "cost_usd")
 		for _, f := range r.Fleet {
-			fprintf(out, "%-26s %5d %8.1f%% %4d %4d %7d %7.1f%% %8.2f %8.2f %10.4f\n",
-				f.Name, f.Rules, f.ConvergencePct, f.DupFinalWrites, f.DLQ, f.Starved,
+			fprintf(out, "%-26s %5d %8d %8.1f%% %4d %4d %7d %7.1f%% %8.2f %8.2f %10.4f\n",
+				f.Name, f.Rules, f.ReplicatedObjects, f.ConvergencePct, f.DupFinalWrites, f.DLQ, f.Starved,
 				f.QuotaUtilPct, f.LagP99SpreadS, f.LagP99MaxS, f.CostUSD)
-		}
-	}
-	if len(r.FleetDay) > 0 {
-		fprintf(out, "%-26s %5s %8s %9s %4s %4s %9s %10s %7s\n",
-			"fleet-day replay", "rules", "objects", "converge", "dup", "dlq", "sim_rate", "rule_rate", "allocs")
-		for _, f := range r.FleetDay {
-			rate, rrate, allocs := "-", "-", "-"
-			if f.SimRate > 0 {
-				rate = fmt.Sprintf("%.0fx", f.SimRate)
-				rrate = fmt.Sprintf("%.0f", f.RuleSimRate)
-				allocs = fmt.Sprintf("%.0f", f.AllocsPerObject)
-			}
-			fprintf(out, "%-26s %5d %8d %8.1f%% %4d %4d %9s %10s %7s\n",
-				f.Name, f.Rules, f.ReplicatedObjects, f.ConvergencePct, f.DupFinalWrites, f.DLQ,
-				rate, rrate, allocs)
 		}
 	}
 }

@@ -3,6 +3,7 @@ package experiments
 import (
 	"bytes"
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -195,6 +196,35 @@ func TestCompareBench(t *testing.T) {
 	schema.Schema = "other/v9"
 	if regs := CompareBench(base, schema, tol); len(regs) != 1 || !strings.Contains(regs[0], "schema") {
 		t.Fatalf("schema mismatch not flagged: %v", regs)
+	}
+
+	// The remaining gate kinds: tracing dying is flagged even though the
+	// span count shrank; a crash point that stops converging; the fleet
+	// rows' absolute bars hold with or without a baseline, and a shrinking
+	// fan-out fabric is a regression.
+	kinds := &BenchReport{Schema: BenchSchema, Suite: "quick",
+		Experiments: []BenchExperiment{{Name: "a", SpansRetained: 80}},
+		CrashSweep:  []BenchCrash{{Point: "after-claim", Converged: true}},
+		Fleet:       []BenchFleet{{Name: FleetDay, ConvergencePct: 100, ReplicatedObjects: 1000, QuotaUtilPct: 50}},
+	}
+	broken := &BenchReport{Schema: BenchSchema, Suite: "quick",
+		Experiments: []BenchExperiment{{Name: "a"}},
+		CrashSweep:  []BenchCrash{{Point: "after-claim"}},
+		Fleet:       []BenchFleet{{Name: FleetDay, ConvergencePct: 100, ReplicatedObjects: 900, QuotaUtilPct: 25, Pending: 3}},
+	}
+	regs = CompareBench(kinds, broken, tol)
+	want := []string{
+		"a: spans retained 80 -> 0 (tracing broken?)",
+		"crash after-claim: no longer converges after the crash",
+		"fleet fleet-day: 3 pending after drain (must be 0)",
+		"fleet fleet-day: replicated objects 1000 -> 900",
+		"fleet fleet-day: quota utilization 50.0% -> 25.0%",
+	}
+	if !reflect.DeepEqual(regs, want) {
+		t.Fatalf("gate kinds: got %q, want %q", regs, want)
+	}
+	if bars := FleetBars(broken.Fleet[0]); len(bars) != 1 || bars[0] != want[2] {
+		t.Fatalf("FleetBars = %q, want only %q", bars, want[2])
 	}
 
 	// Zero-baseline metrics must not trip on absolute-floor-scale noise.

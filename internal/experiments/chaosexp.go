@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 	"strings"
-	"sync"
 	"time"
 
 	"repro/internal/chaos"
@@ -14,6 +13,7 @@ import (
 	"repro/internal/fleetobs"
 	"repro/internal/model"
 	"repro/internal/objstore"
+	"repro/internal/oracle"
 	"repro/internal/simrand"
 	"repro/internal/stats"
 	"repro/internal/telemetry"
@@ -47,35 +47,26 @@ type FaultMatrixConfig struct {
 // FaultScenario is one row of the fault matrix: a chaos profile's impact
 // on convergence, delay, and cost.
 type FaultScenario struct {
-	Profile        string
+	// BenchFault is the report row: delay percentiles, DLQ depth after
+	// recovery, cost overhead vs the "none" baseline row, and the lag
+	// watermarks and alert count its doc describes.
+	BenchFault
+
 	Objects        int // source objects written
 	Converged      int // destination holds the final source version
-	ConvergencePct float64
-	P50S, P99S     float64 // replication delay percentiles (seconds)
-	DupFinalWrites int     // duplicate destination writes of an already-current version
+	DupFinalWrites int // duplicate destination writes of an already-current version
 	// ResidualDivergence counts keys still divergent after recovery: source
 	// versions missing or stale at the destination plus destination orphans
 	// — what an anti-entropy pass (experiments.RunScrub) would repair.
 	ResidualDivergence int
-	DLQ                int // events still parked in the DLQ after recovery
-	// LagP99S is the streaming per-destination replication-lag p99 from
-	// the engine.lag.seconds watermark histogram (unlike P99S it is
-	// labelled {rule,dest} and feeds the same family the SLO monitor
-	// reads), BacklogMax the high-water pending-event depth, and
-	// OldestAgeMaxS the peak oldest-unreplicated-object age the monitor
+	// OldestAgeMaxS is the peak oldest-unreplicated-object age the monitor
 	// sampled — nonzero whenever a fault window stalls replication.
-	LagP99S       float64
-	BacklogMax    int64
 	OldestAgeMaxS float64
-	// SLOAlerts counts burn-rate/DLQ/divergence alert transitions the
-	// fleetobs monitor emitted (recoveries excluded).
-	SLOAlerts       int
-	Injected        int64 // chaos decisions that injected a fault
-	Retries         int64 // engine task-level retries
-	BreakerOpens    int64 // circuit-breaker open transitions
-	Redrives        int64 // automatic + manual DLQ redrives
-	CostUSD         float64
-	CostOverheadPct float64 // vs the "none" baseline row
+	Injected      int64 // chaos decisions that injected a fault
+	Retries       int64 // engine task-level retries
+	BreakerOpens  int64 // circuit-breaker open transitions
+	Redrives      int64 // automatic + manual DLQ redrives
+	CostUSD       float64
 }
 
 // FaultMatrixResult is the full fault matrix (ISSUE: scenario ×
@@ -153,30 +144,12 @@ func runFaultScenario(prof chaos.Profile, spec string, objects int, quick bool, 
 		Events:        log,
 	})
 
-	// Count duplicate final writes at the destination: a *distinct* PUT
-	// (new sequence number) whose ETag matches the version already current
-	// there replicated the same content twice — exactly what the dedupe
-	// layers must prevent. Deduping on Seq matters because notification
-	// chaos also duplicates deliveries to this subscriber; those are the
-	// same write seen twice, not a duplicate write.
-	var dupMu sync.Mutex
-	dups := 0
-	lastSeq := map[string]uint64{}
-	lastETag := map[string]string{}
-	if err := w.Region(dst).Obj.Subscribe(dstBucket, func(ev objstore.Event) {
-		if ev.Type != objstore.EventPut {
-			return
-		}
-		dupMu.Lock()
-		if ev.Seq > lastSeq[ev.Key] {
-			if ev.ETag != "" && lastETag[ev.Key] == ev.ETag {
-				dups++
-			}
-			lastSeq[ev.Key] = ev.Seq
-			lastETag[ev.Key] = ev.ETag
-		}
-		dupMu.Unlock()
-	}); err != nil {
+	// Count duplicate final writes at the destination — exactly what the
+	// dedupe layers must prevent. Notification chaos also duplicates
+	// deliveries to the watcher; it ignores those (the same write seen
+	// twice is not a duplicate write).
+	dupWatch, err := oracle.Watch(w.Region(dst).Obj, dstBucket)
+	if err != nil {
 		return FaultScenario{}, err
 	}
 
@@ -239,9 +212,7 @@ func runFaultScenario(prof chaos.Profile, spec string, objects int, quick bool, 
 	}
 
 	delays := svc.Engine.Tracker.DelaysSeconds()
-	dupMu.Lock()
-	dupFinal := dups
-	dupMu.Unlock()
+	dupFinal := dupWatch.Duplicates()
 	// Watermarks: the backlog high-water comes from the mirrored gauge's
 	// aggregate (raised on every pending add, not just at poll points);
 	// the oldest-age peak from the monitor's labelled child gauge, which
@@ -251,20 +222,23 @@ func runFaultScenario(prof chaos.Profile, spec string, objects int, quick bool, 
 		telemetry.L("dest", string(dst)),
 	}
 	oldestMS := w.Metrics.GaugeVec("engine.lag.oldest_age_ms").With(dims...)
+	residual := auditDivergence(w, svc)
 	return FaultScenario{
-		Profile:            spec,
+		BenchFault: BenchFault{
+			Profile:        spec,
+			ConvergencePct: pct,
+			P50S:           stats.Percentile(delays, 50),
+			P99S:           stats.Percentile(delays, 99),
+			DLQ:            len(svc.Engine.DLQ()),
+			LagP99S:        svc.Engine.LagHistogram().Quantile(0.99),
+			BacklogMax:     w.Metrics.Gauge("engine.lag.backlog").Max(),
+			SLOAlerts:      svc.Monitor.AlertCount(),
+		},
 		Objects:            len(metas),
 		Converged:          converged,
-		ConvergencePct:     pct,
-		P50S:               stats.Percentile(delays, 50),
-		P99S:               stats.Percentile(delays, 99),
 		DupFinalWrites:     dupFinal,
-		ResidualDivergence: auditDivergence(w, svc),
-		DLQ:                len(svc.Engine.DLQ()),
-		LagP99S:            svc.Engine.LagHistogram().Quantile(0.99),
-		BacklogMax:         w.Metrics.Gauge("engine.lag.backlog").Max(),
+		ResidualDivergence: residual,
 		OldestAgeMaxS:      float64(oldestMS.Max()) / 1000,
-		SLOAlerts:          svc.Monitor.AlertCount(),
 		Injected:           w.Metrics.Counter("chaos.injected").Value(),
 		Retries:            w.Metrics.Counter("engine.retries").Value(),
 		BreakerOpens:       w.Metrics.Counter("engine.breaker_open").Value(),

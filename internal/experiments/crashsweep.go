@@ -3,14 +3,13 @@ package experiments
 import (
 	"fmt"
 	"io"
-	"sync"
 	"time"
 
 	"repro/internal/chaos"
 	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/model"
-	"repro/internal/objstore"
+	"repro/internal/oracle"
 )
 
 // The crash sweep's fixed workload: one 64 MB object split into eight
@@ -57,28 +56,12 @@ type CrashSweepConfig struct {
 // CrashPoint is one row of the sweep: the recovery outcome of crashing a
 // function instance at exactly one state-machine step.
 type CrashPoint struct {
-	Point     string
-	Crashes   int64 // chaos crash-point injections (always 1)
-	Converged bool  // destination holds the source version afterwards
-	// DupFinalWrites counts distinct destination PUTs of an already-current
-	// version — the at-least-once hazard the dedupe layers must keep at 0.
-	DupFinalWrites int
-	Resumed        int64 // tasks that re-attached to a checkpointed MPU
-	PartsResumed   int64 // parts inherited as already delivered
+	BenchCrash // the report row
+
+	Crashes        int64 // chaos crash-point injections (always 1)
 	PartsReclaimed int64 // crashed claims returned to the pool
-	// RedoneBytes is the extra wide-area traffic versus the crash-free
-	// baseline — the work the crash forced the system to repeat. Checkpoint
-	// resume bounds it to about one part; a from-scratch restart would redo
-	// the whole object.
-	RedoneBytes int64
-	RedoneParts float64 // RedoneBytes / part size
-	// ExtraKVOps is the coordination overhead versus baseline: the
-	// checkpoint write/read, the re-attach, and the retry's lock traffic.
-	ExtraKVOps int64
-	GCAborted  int   // orphaned MPUs the garbage collector reclaimed
-	GCBytes    int64 // part bytes those uploads were holding
-	MPUsLeft   int   // in-progress MPUs still open after GC (want 0)
-	DelayS     float64
+	GCBytes        int64 // part bytes the GC-reclaimed uploads were holding
+	DelayS         float64
 }
 
 // CrashSweepResult is the full sweep plus its crash-free baseline.
@@ -109,19 +92,21 @@ func RunCrashSweep(cfg CrashSweepConfig) (*CrashSweepResult, error) {
 			return nil, fmt.Errorf("crash sweep %s: %w", point, err)
 		}
 		res.Points = append(res.Points, CrashPoint{
-			Point:          point,
+			BenchCrash: BenchCrash{
+				Point:          point,
+				Converged:      run.converged,
+				DupFinalWrites: run.dupFinal,
+				Resumed:        run.resumed,
+				PartsResumed:   run.partsResumed,
+				RedoneBytes:    run.legBytes - base.legBytes,
+				RedoneParts:    float64(run.legBytes-base.legBytes) / float64(crashSweepPartSize),
+				ExtraKVOps:     run.kvOps - base.kvOps,
+				GCAborted:      run.gcAborted,
+				MPUsLeft:       run.mpusLeft,
+			},
 			Crashes:        run.crashes,
-			Converged:      run.converged,
-			DupFinalWrites: run.dupFinal,
-			Resumed:        run.resumed,
-			PartsResumed:   run.partsResumed,
 			PartsReclaimed: run.partsReclaimed,
-			RedoneBytes:    run.legBytes - base.legBytes,
-			RedoneParts:    float64(run.legBytes-base.legBytes) / float64(crashSweepPartSize),
-			ExtraKVOps:     run.kvOps - base.kvOps,
-			GCAborted:      run.gcAborted,
 			GCBytes:        run.gcBytes,
-			MPUsLeft:       run.mpusLeft,
 			DelayS:         run.delayS,
 		})
 	}
@@ -169,27 +154,9 @@ func runCrashScenario(point string) (crashRun, error) {
 		LockLease:            crashSweepLockLease,
 	}, core.Options{})
 
-	// Duplicate-final-write audit, deduped by destination sequence (the
-	// same idiom as the fault matrix): a distinct PUT whose ETag matches
-	// the version already current there wrote the same content twice.
-	var dupMu sync.Mutex
-	dups := 0
-	lastSeq := map[string]uint64{}
-	lastETag := map[string]string{}
-	if err := w.Region(dst).Obj.Subscribe(dstBucket, func(ev objstore.Event) {
-		if ev.Type != objstore.EventPut {
-			return
-		}
-		dupMu.Lock()
-		if ev.Seq > lastSeq[ev.Key] {
-			if ev.ETag != "" && lastETag[ev.Key] == ev.ETag {
-				dups++
-			}
-			lastSeq[ev.Key] = ev.Seq
-			lastETag[ev.Key] = ev.ETag
-		}
-		dupMu.Unlock()
-	}); err != nil {
+	// Duplicate-final-write audit.
+	dupWatch, err := oracle.Watch(w.Region(dst).Obj, dstBucket)
+	if err != nil {
 		return crashRun{}, err
 	}
 
@@ -231,9 +198,7 @@ func runCrashScenario(point string) (crashRun, error) {
 	if cur, err := w.Region(dst).Obj.Head(dstBucket, "crash-obj"); err == nil && cur.ETag == res.ETag {
 		run.converged = true
 	}
-	dupMu.Lock()
-	run.dupFinal = dups
-	dupMu.Unlock()
+	run.dupFinal = dupWatch.Duplicates()
 	run.legBytes = legBytes.Value() - bytesBase
 	run.kvOps = kvReads.Value() + kvWrites.Value() - kvBase
 	run.delayS = lastDelaySeconds(svc.Engine.Tracker)

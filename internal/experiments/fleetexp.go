@@ -6,116 +6,126 @@ import (
 	"io"
 	"sort"
 	"strconv"
-	"sync"
 	"time"
 
 	areplica "repro"
 	"repro/internal/cloud"
-	"repro/internal/objstore"
+	"repro/internal/oracle"
+	"repro/internal/simclock"
 	"repro/internal/trace"
 )
 
-// FleetConfig configures the hundred-rule control-plane scenario: one
-// fleet deployment mixing every topology shape under shared quotas,
-// driven by the bursty IBM-COS-like trace.
+// The two fleet presets. Each is one scenario shape — bucket names, trace
+// seed, size law and shared quotas, all of which feed simrand seeds — at a
+// full and a quick size.
+const (
+	// FleetHundred is the control-plane scenario: one weight-2 10-way
+	// fan-out, two 3-hop chains, a priority-1 3-region mesh and direct
+	// pairs, under quotas tight enough that rules queue behind each other.
+	FleetHundred = "fleet-hundred-rules"
+	// FleetDay is the thousand-rule replay of a virtual day: three quarters
+	// of the rule budget is 16-way fan-out groups, so a quarter-million
+	// trace ops become on the order of a million replica writes.
+	FleetDay = "fleet-day"
+)
+
+// FleetConfig selects a fleet scenario and, optionally, resizes it.
 type FleetConfig struct {
-	// Rules is the total rule count (default 100). The topology groups —
-	// one 10-way fan-out, two 3-hop chains, one 3-region mesh — take 20
-	// rules; the rest are direct rules over the ordered pairs of the
-	// three east regions. Values below the 20-rule floor are raised.
-	Rules int
-	// Duration and RatePerMin shape the trace (defaults 15 min at 300
-	// writes/min; Quick trims to 4 min at 150).
-	Duration   time.Duration
-	RatePerMin float64
-	Quick      bool
-
-	// FaaSConcurrency caps concurrently running function instances per
-	// (provider,region) lane across the whole fleet (default 64).
-	FaaSConcurrency int
-	// KVOpsPerSec caps each lane's shared KV throughput (default 400).
-	KVOpsPerSec float64
-	// MaxObjectBytes clamps trace object sizes (default 4 MB) so every
-	// transfer takes the inline local plan — the scenario stresses the
-	// control plane's scheduling, not the distributed data plane.
-	MaxObjectBytes int64
+	// Preset is FleetHundred (the default) or FleetDay.
+	Preset string
+	// Quick selects the preset's CI size.
+	Quick bool
+	// Rules, Duration and Ops override the preset's size when positive:
+	// total rule count (raised to the topology groups' floor), the trace's
+	// virtual span, and its approximate operation count (bursts make the
+	// realized count drift a few percent).
+	Rules    int
+	Duration time.Duration
+	Ops      int
 }
 
-func (c FleetConfig) withDefaults() FleetConfig {
-	if c.Rules <= 0 {
-		c.Rules = 100
-	}
-	if c.Duration <= 0 {
-		c.Duration = 15 * time.Minute
-		if c.Quick {
-			c.Duration = 4 * time.Minute
-		}
-	}
-	if c.RatePerMin <= 0 {
-		c.RatePerMin = 300
-		if c.Quick {
-			c.RatePerMin = 150
-		}
-	}
-	if c.FaaSConcurrency <= 0 {
-		c.FaaSConcurrency = 64
-	}
-	if c.KVOpsPerSec <= 0 {
-		c.KVOpsPerSec = 400
-	}
-	if c.MaxObjectBytes <= 0 {
-		c.MaxObjectBytes = 4 * MB
-	}
-	return c
+type fleetSize struct {
+	rules    int
+	duration time.Duration
+	ops      int
 }
+
+type fleetPreset struct {
+	// The mixed topology's shape: a bucket-name prefix and fanGroups
+	// fanWidth-way fan-out groups; fanGroups 0 sizes them to three quarters
+	// of the rule budget and numbers their buckets.
+	prefix              string
+	fanGroups, fanWidth int
+
+	traceSeed   string
+	full, quick fleetSize
+	// keysPerOp, when set, sizes the trace's key population to ops/keysPerOp
+	// (floor 1000) instead of the generator's default.
+	keysPerOp int
+	// quantize rounds object sizes up to a power of two before clamping;
+	// otherwise sizes are only clamped.
+	quantize bool
+	// opts are the shared quotas; ProfileRounds 0 follows FleetConfig.Quick.
+	opts areplica.FleetOptions
+}
+
+var fleetPresets = map[string]fleetPreset{
+	FleetHundred: {
+		fanGroups: 1, fanWidth: 10,
+		traceSeed: "fleet-hundred",
+		full:      fleetSize{rules: 100, duration: 15 * time.Minute, ops: 4500},
+		quick:     fleetSize{rules: 100, duration: 4 * time.Minute, ops: 600},
+		opts:      areplica.FleetOptions{FaaSConcurrency: 64, KVOpsPerSec: 400},
+	},
+	// Quotas wide enough that the day's bursts queue briefly instead of
+	// dead-lettering.
+	FleetDay: {
+		prefix: "day-", fanWidth: 16,
+		traceSeed: "fleet-day",
+		full:      fleetSize{rules: 1000, duration: 24 * time.Hour, ops: 260000},
+		quick:     fleetSize{rules: 120, duration: 90 * time.Minute, ops: 6000},
+		keysPerOp: 8,
+		quantize:  true,
+		opts: areplica.FleetOptions{
+			FaaSConcurrency: 256, KVOpsPerSec: 20000, LaneSlots: 64,
+			ProfileRounds: profileRounds(true), // the quick round count at every size
+		},
+	},
+}
+
+// fleetMaxObjectBytes clamps trace object sizes so every transfer takes
+// the inline local plan: the fleet scenarios stress the control plane and
+// the event loop, not the distributed data plane.
+const fleetMaxObjectBytes = 4 * MB
 
 // FleetRuleRow is one rule's fairness account in a FleetResult.
 type FleetRuleRow struct {
-	Rule       string
-	Admits     int64
-	Defers     int64
-	Starved    int64
-	QuotaWaits int64
-	MaxQueue   int
-	LagP99S    float64
+	areplica.FleetRuleStats
+	LagP99S float64
 }
 
-// FleetResult is the hundred-rule scenario's outcome: convergence and
-// duplicate-write bars, per-rule fairness (lag p99 spread, starvation),
-// shared-quota utilization, cross-rule batching, and dollar cost.
+// FleetResult is a fleet scenario's outcome, deterministic for a given
+// configuration: the report row (convergence and duplicate-write bars,
+// fairness, shared-quota utilization, batching, dollar cost) plus the
+// audit detail and per-rule accounts behind it.
+//
+// Of the row's fields: ReplicatedObjects counts replica writes landed on
+// destination buckets (origin-tagged puts); LagP99SpreadS is the spread of
+// per-rule lag p99 across rules that resolved work — a fair scheduler
+// keeps it narrow even though rules share lanes with a 10x-hotter fan-out
+// source; QuotaUtilPct is the busiest lane's concurrency high-water mark
+// as a percentage of its cap; VirtualHours is the simulated span the
+// replay covered (the trace plus the drain tail).
 type FleetResult struct {
-	Rules   int
-	Entries int // distinct trace entry points (buckets accepting raw writes)
-	Ops     int
+	BenchFleet
 
-	ConvergencePct float64
-	Audited        int
-	Diverged       int
-	Pending        int
-	DLQ            int
-	Redriven       int
-	DupFinalWrites int
-
-	// Fairness: the spread of per-rule lag p99 across rules that resolved
-	// work — a fair scheduler keeps the spread narrow even though rules
-	// share lanes with a 10x-hotter fan-out source.
-	LagP99MinS    float64
-	LagP99MaxS    float64
-	LagP99SpreadS float64
-	Starved       int64
-
-	Admits        int64
-	Defers        int64
-	QuotaWaits    int64
-	Batches       int64
-	BatchMeanSize float64
-
-	// QuotaUtilPct is the busiest lane's concurrency high-water mark as a
-	// percentage of its cap; Forced counts stall-guard escapes (must stay
-	// zero — the control plane never needs the deadlock valve).
-	QuotaUtilPct float64
-	Forced       int64
-	CostUSD      float64
+	Audited    int
+	Diverged   int
+	Redriven   int
+	LagP99MinS float64
+	// Forced counts stall-guard escapes (must stay zero — the control
+	// plane never needs the deadlock valve).
+	Forced int64
 
 	PerRule []FleetRuleRow
 }
@@ -127,41 +137,54 @@ type fleetEntry struct {
 	region, bucket, prefix string
 }
 
-// fleetTopology builds the scenario's rules and entry points: a 10-way
-// fan-out from aws:us-east-1 (weight 2 — the hot tenant), two 3-hop
-// chains, a 3-region mesh (priority 1 — the interactive class), and
-// direct rules over the ordered pairs of the three east regions until
-// the total reaches n.
-func fleetTopology(n int) ([]areplica.FleetRule, []fleetEntry, error) {
+// fleetTopology builds a preset's rules and entry points: its fan-out
+// groups (sources cycling the three east regions, destinations
+// alternating the two others, the first group weight 2 — the hot tenant),
+// two 3-hop chains, a 3-region mesh (priority 1 — the interactive class),
+// and direct rules over the ordered pairs of the three regions until the
+// total reaches n.
+func fleetTopology(preset fleetPreset, n int) ([]areplica.FleetRule, []fleetEntry, error) {
 	regions := []string{string(AWSEast), string(AzureEast), string(GCPEast)}
 	var rules []areplica.FleetRule
 	var entries []fleetEntry
 
-	// One-to-many fan-out: ten destination buckets alternating between
-	// the two non-source regions.
-	var dsts []areplica.FleetDst
-	for i := 0; i < 10; i++ {
-		dsts = append(dsts, areplica.FleetDst{
-			Region: regions[1+i%2],
-			Bucket: fmt.Sprintf("fan-dst-%02d", i),
-		})
+	groups := preset.fanGroups
+	if groups == 0 {
+		groups = max(n*3/4/preset.fanWidth, 1)
 	}
-	fan, err := areplica.FanOut(regions[0], "fan-src", dsts...)
-	if err != nil {
-		return nil, nil, err
+	for g := 0; g < groups; g++ {
+		src := regions[g%3]
+		bucket, dstFmt := preset.prefix+"fan-src", preset.prefix+"fan-dst-%02d"
+		if preset.fanGroups == 0 {
+			bucket = fmt.Sprintf("%sfan-%03d", preset.prefix, g)
+			dstFmt = bucket + "-dst-%02d"
+		}
+		var dsts []areplica.FleetDst
+		for i := 0; i < preset.fanWidth; i++ {
+			dsts = append(dsts, areplica.FleetDst{
+				Region: regions[(g+1+i%2)%3],
+				Bucket: fmt.Sprintf(dstFmt, i),
+			})
+		}
+		fan, err := areplica.FanOut(src, bucket, dsts...)
+		if err != nil {
+			return nil, nil, err
+		}
+		if g == 0 {
+			for i := range fan {
+				fan[i].Weight = 2
+			}
+		}
+		rules = append(rules, fan...)
+		entries = append(entries, fleetEntry{region: src, bucket: bucket})
 	}
-	for i := range fan {
-		fan[i].Weight = 2
-	}
-	rules = append(rules, fan...)
-	entries = append(entries, fleetEntry{region: regions[0], bucket: "fan-src"})
 
 	// Two chains in opposite directions; only the head accepts raw writes.
 	for ci, order := range [][]string{
 		{regions[0], regions[1], regions[2]},
 		{regions[1], regions[2], regions[0]},
 	} {
-		bucket := fmt.Sprintf("chain-%c", 'a'+ci)
+		bucket := fmt.Sprintf("%schain-%c", preset.prefix, 'a'+ci)
 		hops := make([]areplica.FleetHop, len(order))
 		for i, r := range order {
 			hops[i] = areplica.FleetHop{Region: r, Bucket: bucket}
@@ -176,7 +199,7 @@ func fleetTopology(n int) ([]areplica.FleetRule, []fleetEntry, error) {
 
 	// Active-active mesh over all three regions; every member writes its
 	// own keyspace.
-	mesh, err := areplica.FullMesh("mesh", regions...)
+	mesh, err := areplica.FullMesh(preset.prefix+"mesh", regions...)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -185,7 +208,7 @@ func fleetTopology(n int) ([]areplica.FleetRule, []fleetEntry, error) {
 	}
 	rules = append(rules, mesh...)
 	for i, r := range regions {
-		entries = append(entries, fleetEntry{region: r, bucket: "mesh", prefix: fmt.Sprintf("site%d/", i)})
+		entries = append(entries, fleetEntry{region: r, bucket: preset.prefix + "mesh", prefix: fmt.Sprintf("site%d/", i)})
 	}
 
 	// Direct rules fill the fleet out to n, cycling the ordered region
@@ -201,7 +224,7 @@ func fleetTopology(n int) ([]areplica.FleetRule, []fleetEntry, error) {
 	}
 	for i := 0; len(rules) < n; i++ {
 		p := pairs[i%len(pairs)]
-		bucket := fmt.Sprintf("dir-%03d", i)
+		bucket := fmt.Sprintf("%sdir-%03d", preset.prefix, i)
 		rules = append(rules, areplica.FleetRule{
 			SrcRegion: p.src, SrcBucket: bucket,
 			DstRegion: p.dst, DstBucket: bucket + "-replica",
@@ -209,30 +232,6 @@ func fleetTopology(n int) ([]areplica.FleetRule, []fleetEntry, error) {
 		entries = append(entries, fleetEntry{region: p.src, bucket: bucket})
 	}
 	return rules, entries, nil
-}
-
-// dupWatcher counts duplicate final writes on one destination bucket: a
-// later version whose ETag equals the one already durable.
-type dupWatcher struct {
-	mu       sync.Mutex
-	dups     int
-	lastSeq  map[string]uint64
-	lastETag map[string]string
-}
-
-func (w *dupWatcher) observe(ev objstore.Event) {
-	if ev.Type != objstore.EventPut {
-		return
-	}
-	w.mu.Lock()
-	if ev.Seq > w.lastSeq[ev.Key] {
-		if ev.ETag != "" && w.lastETag[ev.Key] == ev.ETag {
-			w.dups++
-		}
-		w.lastSeq[ev.Key] = ev.Seq
-		w.lastETag[ev.Key] = ev.ETag
-	}
-	w.mu.Unlock()
 }
 
 // keyShard maps a trace key to its entry point. Sharding hashes the key
@@ -244,28 +243,61 @@ func keyShard(key string, n int) int {
 	return int(h.Sum32() % uint32(n))
 }
 
-// RunFleet deploys the hundred-rule topology under shared quotas and
-// replays the bursty trace across all entry points.
+// quantizeSize rounds a trace object size up to the next power of two
+// (floor 64 KB, clamped to limit). Plans depend on size, so quantizing to
+// a handful of distinct sizes turns the planner's fastest-plan memo into
+// a near-perfect cache across a million admissions without changing the
+// workload's character.
+func quantizeSize(size, limit int64) int64 {
+	q := int64(64 * 1024)
+	for q < size && q < limit {
+		q <<= 1
+	}
+	return min(q, limit)
+}
+
+// RunFleet deploys the preset's topology under shared quotas, replays its
+// bursty trace across all entry points, drains, redrives what
+// dead-lettered and audits every destination.
 func RunFleet(cfg FleetConfig) (*FleetResult, error) {
-	cfg = cfg.withDefaults()
-	rules, entries, err := fleetTopology(cfg.Rules)
+	if cfg.Preset == "" {
+		cfg.Preset = FleetHundred
+	}
+	preset, ok := fleetPresets[cfg.Preset]
+	if !ok {
+		return nil, fmt.Errorf("unknown fleet preset %q", cfg.Preset)
+	}
+	size := preset.full
+	if cfg.Quick {
+		size = preset.quick
+	}
+	if cfg.Rules > 0 {
+		size.rules = cfg.Rules
+	}
+	if cfg.Duration > 0 {
+		size.duration = cfg.Duration
+	}
+	if cfg.Ops > 0 {
+		size.ops = cfg.Ops
+	}
+	rules, entries, err := fleetTopology(preset, size.rules)
 	if err != nil {
 		return nil, err
 	}
 
 	sim := areplica.NewSim()
-	fl, err := sim.DeployFleet(rules, areplica.FleetOptions{
-		FaaSConcurrency: cfg.FaaSConcurrency,
-		KVOpsPerSec:     cfg.KVOpsPerSec,
-		ProfileRounds:   profileRounds(cfg.Quick),
-	})
+	opts := preset.opts
+	if opts.ProfileRounds == 0 {
+		opts.ProfileRounds = profileRounds(cfg.Quick)
+	}
+	fl, err := sim.DeployFleet(rules, opts)
 	if err != nil {
 		return nil, err
 	}
 
 	// Watch every destination bucket for duplicate final writes
 	// (deterministic subscription order: first rule wins per bucket).
-	var watchers []*dupWatcher
+	var watchers []*oracle.Watcher
 	seen := make(map[string]bool)
 	for _, r := range rules {
 		id := r.DstRegion + "/" + r.DstBucket
@@ -273,27 +305,33 @@ func RunFleet(cfg FleetConfig) (*FleetResult, error) {
 			continue
 		}
 		seen[id] = true
-		w := &dupWatcher{lastSeq: map[string]uint64{}, lastETag: map[string]string{}}
 		rid, err := cloud.ParseRegionID(r.DstRegion)
 		if err != nil {
 			return nil, err
 		}
-		if err := sim.World().Region(rid).Obj.Subscribe(r.DstBucket, w.observe); err != nil {
+		w, err := oracle.Watch(sim.World().Region(rid).Obj, r.DstBucket)
+		if err != nil {
 			return nil, err
 		}
 		watchers = append(watchers, w)
 	}
 
-	tcfg := trace.DefaultConfig(cfg.Duration, cfg.RatePerMin)
-	tcfg.Seed = "fleet-hundred"
+	tcfg := trace.DefaultConfig(size.duration, float64(size.ops)/size.duration.Minutes())
+	tcfg.Seed = preset.traceSeed
+	if preset.keysPerOp > 0 {
+		tcfg.Keys = max(size.ops/preset.keysPerOp, 1000)
+	}
 	ops := trace.Generate(tcfg)
 	for i := range ops {
-		if ops[i].Size > cfg.MaxObjectBytes {
-			ops[i].Size = cfg.MaxObjectBytes
+		if preset.quantize {
+			ops[i].Size = quantizeSize(ops[i].Size, fleetMaxObjectBytes)
+		} else {
+			ops[i].Size = min(ops[i].Size, fleetMaxObjectBytes)
 		}
 	}
 
 	costBefore := sim.CostTotal()
+	virtStart := sim.Now()
 	trace.Replay(sim.World().Clock, ops, func(op trace.Op) {
 		e := entries[keyShard(op.Key, len(entries))]
 		key := e.prefix + op.Key
@@ -312,21 +350,22 @@ func RunFleet(cfg FleetConfig) (*FleetResult, error) {
 		redriven += fl.RedriveAll()
 		sim.Wait()
 	}
+	virtSecs := simclock.ToSeconds(sim.Now().Sub(virtStart))
 	fl.PollMonitors()
 
-	res := &FleetResult{
-		Rules:    fl.Size(),
-		Entries:  len(entries),
-		Ops:      len(ops),
-		Pending:  fl.PendingTotal(),
-		DLQ:      fl.DLQTotal(),
-		Redriven: redriven,
-		CostUSD:  sim.CostTotal() - costBefore,
-	}
+	res := &FleetResult{Redriven: redriven, BenchFleet: BenchFleet{
+		Name:         cfg.Preset,
+		Rules:        fl.Size(),
+		Entries:      len(entries),
+		Ops:          len(ops),
+		Pending:      fl.PendingTotal(),
+		DLQ:          fl.DLQTotal(),
+		CostUSD:      sim.CostTotal() - costBefore,
+		VirtualHours: virtSecs / 3600,
+	}}
 	for _, w := range watchers {
-		w.mu.Lock()
-		res.DupFinalWrites += w.dups
-		w.mu.Unlock()
+		res.ReplicatedObjects += w.Replicas()
+		res.DupFinalWrites += w.Duplicates()
 	}
 	div, audited, err := fl.Diverged()
 	if err != nil {
@@ -347,11 +386,7 @@ func RunFleet(cfg FleetConfig) (*FleetResult, error) {
 	}
 	first := true
 	for _, st := range fl.SchedStats() {
-		row := FleetRuleRow{
-			Rule: st.Rule, Admits: st.Admits, Defers: st.Defers,
-			Starved: st.Starved, QuotaWaits: st.QuotaWaits,
-			MaxQueue: st.MaxQueue, LagP99S: lag[st.Rule],
-		}
+		row := FleetRuleRow{FleetRuleStats: st, LagP99S: lag[st.Rule]}
 		res.PerRule = append(res.PerRule, row)
 		res.Admits += st.Admits
 		res.Defers += st.Defers

@@ -3,14 +3,13 @@ package experiments
 import (
 	"fmt"
 	"io"
-	"sync"
 	"time"
 
 	"repro/internal/chaos"
 	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/model"
-	"repro/internal/objstore"
+	"repro/internal/oracle"
 	"repro/internal/world"
 )
 
@@ -32,24 +31,19 @@ type ScrubConfig struct {
 // ScrubPoint is one row of the sweep: what a scrub cadence buys (residual
 // divergence, divergence age) and what it costs (digest traffic, dollars).
 type ScrubPoint struct {
-	Cadence            string // "off" for the no-scrub baseline
-	CadenceS           float64
-	Objects            int
-	Converged          int
-	ConvergencePct     float64
-	ResidualDivergence int // missing + stale + orphaned keys at the final audit
-	Rounds             int64
-	RepairsDispatched  int64
-	RepairsRedriven    int64
-	RepairsDeduped     int64
-	SLOViolations      int64 // repairs older than the declared divergence SLO (2x cadence)
-	DigestBytes        int64
-	RepairAgeP50S      float64 // divergence age when the scrubber repaired it
-	RepairAgeMaxS      float64
-	DupFinalWrites     int
-	TotalCostUSD       float64
-	ScrubCostUSD       float64 // marginal cost vs the no-scrub baseline
-	CostOverheadPct    float64
+	BenchScrub // the report row
+
+	CadenceS          float64
+	Objects           int
+	Converged         int
+	RepairsDispatched int64
+	RepairsRedriven   int64
+	RepairsDeduped    int64
+	SLOViolations     int64   // repairs older than the declared divergence SLO (2x cadence)
+	RepairAgeP50S     float64 // divergence age when the scrubber repaired it
+	RepairAgeMaxS     float64
+	TotalCostUSD      float64
+	CostOverheadPct   float64
 }
 
 // ScrubResult is the divergence-vs-cadence-vs-cost curve.
@@ -133,26 +127,9 @@ func runScrubScenario(prof chaos.Profile, cadence time.Duration, objects int, qu
 		DivergenceSLO: 2 * cadence,
 	})
 
-	// Duplicate-final-write audit, deduped on Seq (notify-dup chaos replays
-	// deliveries of single writes; those are not duplicate writes).
-	var dupMu sync.Mutex
-	dups := 0
-	lastSeq := map[string]uint64{}
-	lastETag := map[string]string{}
-	if err := w.Region(dst).Obj.Subscribe(dstBucket, func(ev objstore.Event) {
-		if ev.Type != objstore.EventPut {
-			return
-		}
-		dupMu.Lock()
-		if ev.Seq > lastSeq[ev.Key] {
-			if ev.ETag != "" && lastETag[ev.Key] == ev.ETag {
-				dups++
-			}
-			lastSeq[ev.Key] = ev.Seq
-			lastETag[ev.Key] = ev.ETag
-		}
-		dupMu.Unlock()
-	}); err != nil {
+	// Duplicate-final-write audit.
+	dupWatch, err := oracle.Watch(w.Region(dst).Obj, dstBucket)
+	if err != nil {
 		return ScrubPoint{}, err
 	}
 
@@ -204,26 +181,26 @@ func runScrubScenario(prof chaos.Profile, cadence time.Duration, objects int, qu
 	if ageHist.Count() > 0 {
 		ageP50, ageMax = ageHist.Quantile(0.5), ageHist.Max()
 	}
-	dupMu.Lock()
-	dupFinal := dups
-	dupMu.Unlock()
+	dupFinal := dupWatch.Duplicates()
 	return ScrubPoint{
-		Cadence:            label,
-		CadenceS:           cadence.Seconds(),
-		Objects:            len(metas),
-		Converged:          converged,
-		ConvergencePct:     pct,
-		ResidualDivergence: auditDivergence(w, svc),
-		Rounds:             w.Metrics.Counter("antientropy.rounds").Value(),
-		RepairsDispatched:  w.Metrics.Counter("antientropy.repair.dispatched").Value(),
-		RepairsRedriven:    w.Metrics.Counter("antientropy.repair.redriven").Value(),
-		RepairsDeduped:     w.Metrics.Counter("antientropy.repair.deduped").Value(),
-		SLOViolations:      w.Metrics.Counter("antientropy.slo_violations").Value(),
-		DigestBytes:        w.Metrics.Counter("antientropy.digest.bytes").Value(),
-		RepairAgeP50S:      ageP50,
-		RepairAgeMaxS:      ageMax,
-		DupFinalWrites:     dupFinal,
-		TotalCostUSD:       cost,
+		BenchScrub: BenchScrub{
+			Cadence:            label,
+			ConvergencePct:     pct,
+			ResidualDivergence: auditDivergence(w, svc),
+			Rounds:             w.Metrics.Counter("antientropy.rounds").Value(),
+			DigestBytes:        w.Metrics.Counter("antientropy.digest.bytes").Value(),
+			DupFinalWrites:     dupFinal,
+		},
+		CadenceS:          cadence.Seconds(),
+		Objects:           len(metas),
+		Converged:         converged,
+		RepairsDispatched: w.Metrics.Counter("antientropy.repair.dispatched").Value(),
+		RepairsRedriven:   w.Metrics.Counter("antientropy.repair.redriven").Value(),
+		RepairsDeduped:    w.Metrics.Counter("antientropy.repair.deduped").Value(),
+		SLOViolations:     w.Metrics.Counter("antientropy.slo_violations").Value(),
+		RepairAgeP50S:     ageP50,
+		RepairAgeMaxS:     ageMax,
+		TotalCostUSD:      cost,
 	}, nil
 }
 
