@@ -259,19 +259,6 @@ type Rule struct {
 	// ProfileRounds overrides profiling effort (default 12 samples per
 	// parameter).
 	ProfileRounds int
-
-	// DisableDoubleBuffer turns off the pipelined data plane (each
-	// replicator serializes a part's download and upload again).
-	DisableDoubleBuffer bool
-	// ClaimBatch is how many parts a replicator claims per part-pool KV
-	// operation (0 = default of 4; 1 = unbatched per-part claims).
-	ClaimBatch int
-	// HedgeBudget bounds speculative duplication of in-flight tail parts
-	// once the pool drains (0 = default of 4; negative disables hedging).
-	HedgeBudget int
-	// DisableAdaptiveParts pins the distributed part size to the 8 MB
-	// default instead of adapting it per object.
-	DisableAdaptiveParts bool
 }
 
 // Replication is a deployed rule.
@@ -305,10 +292,6 @@ func (s *Sim) Deploy(r Rule) (*Replication, error) {
 			SrcBucket: r.SrcBucket, DstBucket: r.DstBucket,
 			SLO: r.SLO, Percentile: r.Percentile,
 			KeyPrefix: r.KeyPrefix,
-			DisableDoubleBuffer:  r.DisableDoubleBuffer,
-			ClaimBatch:           r.ClaimBatch,
-			HedgeBudget:          r.HedgeBudget,
-			DisableAdaptiveParts: r.DisableAdaptiveParts,
 		},
 		EnableChangelog: r.Changelog,
 		EnableBatching:  r.Batching,

@@ -23,6 +23,7 @@ import (
 	"hash/fnv"
 	"io"
 	"os"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -35,118 +36,140 @@ import (
 	"repro/internal/trace"
 )
 
+// options holds the parsed command line.
+type options struct {
+	src, dst, size              string
+	count                       int
+	slo                         time.Duration
+	pct                         float64
+	batching                    bool
+	replay                      time.Duration
+	rate                        float64
+	traceOut, metricsOut        string
+	chaos, crashPoint           string
+	scrub                       time.Duration
+	status                      bool
+	eventsOut, promOut          string
+	lagSLO                      time.Duration
+	critpath                    bool
+	retain                      string
+	retainSeed                  uint64
+	fleet                       string
+	regions, showStats, verbose bool
+}
+
+// newFlagSet defines every areplica flag on a fresh set bound to o.
+func newFlagSet(o *options) *flag.FlagSet {
+	fs := flag.NewFlagSet("areplica", flag.ExitOnError)
+	fs.StringVar(&o.src, "src", "aws:us-east-1", "source region (<provider>:<region>)")
+	fs.StringVar(&o.dst, "dst", "azure:eastus", "destination region")
+	fs.StringVar(&o.size, "size", "16MB", "object size for -count mode (e.g. 512KB, 16MB, 1GB)")
+	fs.IntVar(&o.count, "count", 3, "number of objects to replicate")
+	fs.DurationVar(&o.slo, "slo", 0, "replication SLO (0 = fastest plan)")
+	fs.Float64Var(&o.pct, "percentile", 0.99, "SLO percentile")
+	fs.BoolVar(&o.batching, "batching", false, "enable SLO-bounded batching (requires -slo)")
+	fs.DurationVar(&o.replay, "replay", 0, "replay a synthetic IBM-COS-like trace of this duration instead of -count mode")
+	fs.Float64Var(&o.rate, "rate", 60, "trace request rate (ops/minute)")
+	fs.StringVar(&o.traceOut, "trace", "", "write per-task spans as Chrome trace_event JSON to this file (chrome://tracing, Perfetto)")
+	fs.StringVar(&o.metricsOut, "metrics", "", "write the run's aggregate metrics (counters + latency histograms) to this file")
+	fs.StringVar(&o.chaos, "chaos", "", "arm a chaos profile after deployment (name[@seed], e.g. mixed@7; 'list' shows profiles)")
+	fs.StringVar(&o.crashPoint, "crashpoint", "", "crash a function instance once at this data-plane step (e.g. after-checkpoint, after-part-2, before-complete-mpu)")
+	fs.DurationVar(&o.scrub, "scrub", 0, "run anti-entropy scrubbing at this cadence (e.g. 30s; 0 = off)")
+	fs.BoolVar(&o.status, "status", false, "print the rule's health table (lag watermarks, burn rates, alerts) at the end")
+	fs.StringVar(&o.eventsOut, "events", "", "write the structured SLO alert log as JSONL to this file")
+	fs.StringVar(&o.promOut, "prom", "", "write the run's metrics in Prometheus text format to this file")
+	fs.DurationVar(&o.lagSLO, "lag-slo", 0, "monitored replication-lag objective per event (0 = 30s default)")
+	fs.BoolVar(&o.critpath, "critpath", false, "print the critical-path delay attribution across replicated tasks")
+	fs.StringVar(&o.retain, "retain", "all", "trace retention policy: all (keep every trace), auto (anomalies + 1-in-16 head sample), or 1/N (anomalies + 1-in-N)")
+	fs.Uint64Var(&o.retainSeed, "retain-seed", 0, "seed phasing the head-sample counter of -retain auto|1/N")
+	fs.StringVar(&o.fleet, "fleet", "", "deploy a multi-rule fleet from this JSON topology file (rules, fanout, chains, mesh, quotas) instead of a single rule")
+	fs.BoolVar(&o.regions, "regions", false, "list available regions and exit")
+	fs.BoolVar(&o.showStats, "stats", false, "print a per-region activity snapshot at the end")
+	fs.BoolVar(&o.verbose, "v", false, "print per-object delays")
+	return fs
+}
+
+// singleRuleOnly names the single-rule workload and diagnostics flags. A
+// fleet topology file owns rule placement, quotas and scheduling, and
+// these would silently apply to none of its rules, so passing any of them
+// alongside -fleet is an error, not a hint.
+var singleRuleOnly = []string{
+	"src", "dst", "size", "count", "slo", "percentile",
+	"batching", "chaos", "crashpoint", "scrub", "lag-slo",
+	"critpath", "trace", "retain", "retain-seed",
+}
+
 func main() {
-	var (
-		srcFlag         = flag.String("src", "aws:us-east-1", "source region (<provider>:<region>)")
-		dstFlag         = flag.String("dst", "azure:eastus", "destination region")
-		sizeFlag        = flag.String("size", "16MB", "object size for -count mode (e.g. 512KB, 16MB, 1GB)")
-		count           = flag.Int("count", 3, "number of objects to replicate")
-		sloFlag         = flag.Duration("slo", 0, "replication SLO (0 = fastest plan)")
-		pct             = flag.Float64("percentile", 0.99, "SLO percentile")
-		batching        = flag.Bool("batching", false, "enable SLO-bounded batching (requires -slo)")
-		replayDur       = flag.Duration("replay", 0, "replay a synthetic IBM-COS-like trace of this duration instead of -count mode")
-		traceRate       = flag.Float64("rate", 60, "trace request rate (ops/minute)")
-		traceOut        = flag.String("trace", "", "write per-task spans as Chrome trace_event JSON to this file (chrome://tracing, Perfetto)")
-		metricsOut      = flag.String("metrics", "", "write the run's aggregate metrics (counters + latency histograms) to this file")
-		chaosFlag       = flag.String("chaos", "", "arm a chaos profile after deployment (name[@seed], e.g. mixed@7; 'list' shows profiles)")
-		crashPointFlag  = flag.String("crashpoint", "", "crash a function instance once at this data-plane step (e.g. after-checkpoint, after-part-2, before-complete-mpu)")
-		scrubFlag       = flag.Duration("scrub", 0, "run anti-entropy scrubbing at this cadence (e.g. 30s; 0 = off)")
-		statusFlag      = flag.Bool("status", false, "print the rule's health table (lag watermarks, burn rates, alerts) at the end")
-		eventsOut       = flag.String("events", "", "write the structured SLO alert log as JSONL to this file")
-		promOut         = flag.String("prom", "", "write the run's metrics in Prometheus text format to this file")
-		lagSLO          = flag.Duration("lag-slo", 0, "monitored replication-lag objective per event (0 = 30s default)")
-		noDoubleBuf     = flag.Bool("no-doublebuffer", false, "disable the pipelined data plane (serialize each part's download and upload)")
-		claimBatch      = flag.Int("claim-batch", 0, "parts claimed per part-pool KV operation (0 = default 4, 1 = per-part)")
-		hedgeBudget     = flag.Int("hedge", 0, "speculative tail-part duplications per task (0 = default 4, -1 = disable)")
-		noAdaptiveParts = flag.Bool("no-adaptive-parts", false, "pin the distributed part size to 8MB instead of adapting per object")
-		critpath        = flag.Bool("critpath", false, "print the critical-path delay attribution across replicated tasks")
-		retainFlag      = flag.String("retain", "all", "trace retention policy: all (keep every trace), auto (anomalies + 1-in-16 head sample), or 1/N (anomalies + 1-in-N)")
-		retainSeed      = flag.Uint64("retain-seed", 0, "seed phasing the head-sample counter of -retain auto|1/N")
-		fleetFlag       = flag.String("fleet", "", "deploy a multi-rule fleet from this JSON topology file (rules, fanout, chains, mesh, quotas) instead of a single rule")
-		regions         = flag.Bool("regions", false, "list available regions and exit")
-		showStats       = flag.Bool("stats", false, "print a per-region activity snapshot at the end")
-		verbose         = flag.Bool("v", false, "print per-object delays")
-	)
-	flag.Parse()
+	var o options
+	fs := newFlagSet(&o)
+	_ = fs.Parse(os.Args[1:]) // ExitOnError: Parse exits instead of returning an error
 
 	sim := areplica.NewSim()
-	if *regions {
+	if o.regions {
 		for _, r := range sim.Regions() {
 			fmt.Println(r)
 		}
 		return
 	}
-	if *chaosFlag == "list" {
+	if o.chaos == "list" {
 		for _, n := range chaos.Names() {
 			fmt.Println(n)
 		}
 		return
 	}
-	if *fleetFlag != "" {
-		// A fleet topology file owns rule placement, quotas and scheduling;
-		// the single-rule workload and diagnostics flags would silently
-		// apply to none of its rules, so passing any of them alongside
-		// -fleet is an error, not a hint.
-		singleRuleOnly := map[string]string{
-			"src": "", "dst": "", "size": "", "count": "", "slo": "", "percentile": "",
-			"batching": "", "chaos": "", "crashpoint": "", "scrub": "", "lag-slo": "",
-			"no-doublebuffer": "", "claim-batch": "", "hedge": "", "no-adaptive-parts": "",
-			"critpath": "", "trace": "", "retain": "", "retain-seed": "",
-		}
+	if o.fleet != "" {
 		var conflicting []string
-		flag.Visit(func(f *flag.Flag) {
-			if _, ok := singleRuleOnly[f.Name]; ok {
+		fs.Visit(func(f *flag.Flag) {
+			if slices.Contains(singleRuleOnly, f.Name) {
 				conflicting = append(conflicting, "-"+f.Name)
 			}
 		})
 		if len(conflicting) > 0 {
 			fatal(fmt.Errorf("-fleet is incompatible with %s (single-rule workload and diagnostics flags); configure rules, quotas and scheduling in %s instead",
-				strings.Join(conflicting, ", "), *fleetFlag))
+				strings.Join(conflicting, ", "), o.fleet))
 		}
-		runFleet(sim, *fleetFlag, *replayDur, *traceRate, fleetOutput{
-			status: *statusFlag, verbose: *verbose, stats: *showStats,
-			metricsOut: *metricsOut, promOut: *promOut, eventsOut: *eventsOut,
+		runFleet(sim, o.fleet, o.replay, o.rate, fleetOutput{
+			status: o.status, verbose: o.verbose, stats: o.showStats,
+			metricsOut: o.metricsOut, promOut: o.promOut, eventsOut: o.eventsOut,
 		})
 		return
 	}
 
 	var chaosProf chaos.Profile
-	if *chaosFlag != "" {
+	if o.chaos != "" {
 		var err error
-		if chaosProf, err = chaos.Parse(*chaosFlag); err != nil {
+		if chaosProf, err = chaos.Parse(o.chaos); err != nil {
 			fatal(err)
 		}
 	}
-	if *crashPointFlag != "" {
+	if o.crashPoint != "" {
 		// Compose with -chaos when both are given; alone it is a pure
 		// crash-point profile (the injector fires exactly once).
 		if chaosProf.Name == "" {
 			chaosProf.Name = "crash-point"
 		}
-		chaosProf.CrashPoint = *crashPointFlag
+		chaosProf.CrashPoint = o.crashPoint
 	}
-	size, err := parseSize(*sizeFlag)
+	size, err := parseSize(o.size)
 	if err != nil {
 		fatal(err)
 	}
 
 	const srcBucket, dstBucket = "data", "data-replica"
-	if err := sim.CreateBucket(*srcFlag, srcBucket); err != nil {
+	if err := sim.CreateBucket(o.src, srcBucket); err != nil {
 		fatal(err)
 	}
-	if err := sim.CreateBucket(*dstFlag, dstBucket); err != nil {
+	if err := sim.CreateBucket(o.dst, dstBucket); err != nil {
 		fatal(err)
 	}
 
-	fmt.Printf("profiling %s -> %s ...\n", *srcFlag, *dstFlag)
+	fmt.Printf("profiling %s -> %s ...\n", o.src, o.dst)
 	rep, err := sim.Deploy(areplica.Rule{
-		SrcRegion: *srcFlag, SrcBucket: srcBucket,
-		DstRegion: *dstFlag, DstBucket: dstBucket,
-		SLO: *sloFlag, Percentile: *pct, Batching: *batching,
-		Scrub: *scrubFlag > 0, ScrubCadence: *scrubFlag,
-		Monitor: true, LagTarget: *lagSLO,
-		DisableDoubleBuffer: *noDoubleBuf, ClaimBatch: *claimBatch,
-		HedgeBudget: *hedgeBudget, DisableAdaptiveParts: *noAdaptiveParts,
+		SrcRegion: o.src, SrcBucket: srcBucket,
+		DstRegion: o.dst, DstBucket: dstBucket,
+		SLO: o.slo, Percentile: o.pct, Batching: o.batching,
+		Scrub: o.scrub > 0, ScrubCadence: o.scrub,
+		Monitor: true, LagTarget: o.lagSLO,
 	})
 	if err != nil {
 		fatal(err)
@@ -157,18 +180,18 @@ func main() {
 	// Tracing starts after Deploy so exports cover the workload's
 	// replication tasks, not the one-time profiling phase (-critpath
 	// needs the spans too).
-	retention, err := parseRetain(*retainFlag, *retainSeed)
+	retention, err := parseRetain(o.retain, o.retainSeed)
 	if err != nil {
 		fatal(err)
 	}
-	if *traceOut != "" || *critpath {
+	if o.traceOut != "" || o.critpath {
 		sim.World().Tracer.SetPolicy(retention)
 		sim.World().Tracer.Enable()
 	}
 	// Chaos arms after Deploy too: profiling fits a clean model, and
 	// partition windows are anchored at the workload's start.
 	if chaosProf.Enabled() {
-		label := *chaosFlag
+		label := o.chaos
 		if label == "" {
 			label = chaosProf.Name
 		}
@@ -178,11 +201,11 @@ func main() {
 		fmt.Printf("arming chaos profile %s\n", label)
 		sim.World().SetChaos(chaosProf)
 	}
-	if *scrubFlag > 0 {
+	if o.scrub > 0 {
 		if err := rep.StartScrub(); err != nil {
 			fatal(err)
 		}
-		fmt.Printf("scrubbing every %s\n", *scrubFlag)
+		fmt.Printf("scrubbing every %s\n", o.scrub)
 	}
 
 	// Under chaos the source PUT itself can be refused; retry with backoff
@@ -193,20 +216,20 @@ func main() {
 			if attempt > 0 {
 				sim.Sleep(250 * time.Millisecond << uint(attempt-1))
 			}
-			if _, err = sim.PutObject(*srcFlag, srcBucket, key, size); err == nil {
+			if _, err = sim.PutObject(o.src, srcBucket, key, size); err == nil {
 				return nil
 			}
 		}
 		return err
 	}
 
-	if *replayDur > 0 {
-		ops := trace.Generate(trace.DefaultConfig(*replayDur, *traceRate))
-		fmt.Printf("replaying %d trace operations over %s (virtual time)...\n", len(ops), *replayDur)
+	if o.replay > 0 {
+		ops := trace.Generate(trace.DefaultConfig(o.replay, o.rate))
+		fmt.Printf("replaying %d trace operations over %s (virtual time)...\n", len(ops), o.replay)
 		w := sim.World()
 		trace.Replay(w.Clock, ops, func(op trace.Op) {
 			if op.Type == trace.OpDelete {
-				_ = sim.DeleteObject(*srcFlag, srcBucket, op.Key)
+				_ = sim.DeleteObject(o.src, srcBucket, op.Key)
 				return
 			}
 			if err := put(op.Key, op.Size); err != nil {
@@ -215,8 +238,8 @@ func main() {
 			rep.PollMonitor()
 		})
 	} else {
-		fmt.Printf("replicating %d x %s objects...\n", *count, *sizeFlag)
-		for i := 0; i < *count; i++ {
+		fmt.Printf("replicating %d x %s objects...\n", o.count, o.size)
+		for i := 0; i < o.count; i++ {
 			key := fmt.Sprintf("object-%03d", i)
 			if err := put(key, size); err != nil {
 				fatal(err)
@@ -241,7 +264,7 @@ func main() {
 		sim.Wait()
 	}
 	var scrubRep areplica.ScrubReport
-	if *scrubFlag > 0 {
+	if o.scrub > 0 {
 		// Final anti-entropy pass: prove convergence with a clean Merkle
 		// exchange, repairing whatever the notifications missed.
 		if scrubRep, err = rep.ScrubUntilClean(); err != nil {
@@ -257,7 +280,7 @@ func main() {
 	delays := make([]float64, len(records))
 	for i, r := range records {
 		delays[i] = r.Delay.Seconds()
-		if *verbose {
+		if o.verbose {
 			fmt.Printf("  %-24s %10s  %8.2fs\n", r.Key, byteSize(r.Size), r.Delay.Seconds())
 		}
 	}
@@ -265,14 +288,14 @@ func main() {
 	fmt.Printf("\nreplicated %d objects (pending %d)\n", len(records), rep.Pending())
 	fmt.Printf("delay: p50 %.2fs  p99 %.2fs  max %.2fs\n",
 		stats.Percentile(delays, 50), stats.Percentile(delays, 99), stats.Percentile(delays, 100))
-	if *sloFlag > 0 {
+	if o.slo > 0 {
 		within := 0
 		for _, d := range delays {
-			if d <= sloFlag.Seconds() {
+			if d <= o.slo.Seconds() {
 				within++
 			}
 		}
-		fmt.Printf("SLO %s attainment: %.2f%%\n", *sloFlag, 100*float64(within)/float64(len(delays)))
+		fmt.Printf("SLO %s attainment: %.2f%%\n", o.slo, 100*float64(within)/float64(len(delays)))
 	}
 	fmt.Printf("\ncost (excluding one-time profiling of $%.4f):\n", profilingCost)
 	bd := sim.CostBreakdown()
@@ -294,7 +317,7 @@ func main() {
 	if chaosProf.Enabled() {
 		m := sim.World().Metrics
 		fmt.Printf("\nchaos %s: injected %d faults; engine retries %d, hedged parts %d, breaker opens %d, degraded plans %d, redrives %d, dlq %d\n",
-			*chaosFlag,
+			o.chaos,
 			m.Counter("chaos.injected").Value(),
 			m.Counter("engine.retries").Value(),
 			m.Counter("engine.parts.hedged").Value(),
@@ -304,10 +327,10 @@ func main() {
 			rep.DLQSize())
 	}
 
-	if *scrubFlag > 0 {
+	if o.scrub > 0 {
 		m := sim.World().Metrics
 		fmt.Printf("\nscrub cadence %s: %d rounds, %d divergent keys found, repairs %d dispatched / %d redriven, %d SLO violations, %d digest bytes (final round clean=%v)\n",
-			*scrubFlag,
+			o.scrub,
 			m.Counter("antientropy.rounds").Value(),
 			m.Counter("antientropy.divergent_keys").Value(),
 			m.Counter("antientropy.repair.dispatched").Value(),
@@ -317,7 +340,7 @@ func main() {
 			scrubRep.Clean)
 	}
 
-	if *critpath {
+	if o.critpath {
 		fmt.Printf("\ncritical-path attribution (%d tasks):\n", len(records))
 		agg := telemetry.Aggregate(sim.World().Tracer.CriticalPaths())
 		if err := agg.WriteText(os.Stdout); err != nil {
@@ -325,51 +348,51 @@ func main() {
 		}
 	}
 
-	if *statusFlag {
+	if o.status {
 		fmt.Println()
 		if err := sim.WriteHealthTable(os.Stdout, rep); err != nil {
 			fatal(err)
 		}
-		if n := sim.EventCount(); n > 0 && *eventsOut == "" {
+		if n := sim.EventCount(); n > 0 && o.eventsOut == "" {
 			fmt.Printf("%d SLO alert events (write them with -events)\n", n)
 		}
 	}
 
-	if *showStats {
+	if o.showStats {
 		fmt.Println()
 		sim.World().Snapshot().Print(os.Stdout)
 	}
 
-	if *traceOut != "" || *critpath {
+	if o.traceOut != "" || o.critpath {
 		fmt.Println("\ntrace retention:")
 		if err := sim.World().Tracer.WriteRetentionSummary(os.Stdout); err != nil {
 			fatal(err)
 		}
 	}
 
-	if *traceOut != "" {
-		if err := writeFile(*traceOut, sim.World().Tracer.WriteChromeTrace); err != nil {
+	if o.traceOut != "" {
+		if err := writeFile(o.traceOut, sim.World().Tracer.WriteChromeTrace); err != nil {
 			fatal(err)
 		}
-		fmt.Printf("wrote trace to %s\n", *traceOut)
+		fmt.Printf("wrote trace to %s\n", o.traceOut)
 	}
-	if *metricsOut != "" {
-		if err := writeFile(*metricsOut, sim.World().Metrics.WriteText); err != nil {
+	if o.metricsOut != "" {
+		if err := writeFile(o.metricsOut, sim.World().Metrics.WriteText); err != nil {
 			fatal(err)
 		}
-		fmt.Printf("wrote metrics to %s\n", *metricsOut)
+		fmt.Printf("wrote metrics to %s\n", o.metricsOut)
 	}
-	if *promOut != "" {
-		if err := writeFile(*promOut, sim.WriteMetricsProm); err != nil {
+	if o.promOut != "" {
+		if err := writeFile(o.promOut, sim.WriteMetricsProm); err != nil {
 			fatal(err)
 		}
-		fmt.Printf("wrote prometheus metrics to %s\n", *promOut)
+		fmt.Printf("wrote prometheus metrics to %s\n", o.promOut)
 	}
-	if *eventsOut != "" {
-		if err := writeFile(*eventsOut, sim.WriteEvents); err != nil {
+	if o.eventsOut != "" {
+		if err := writeFile(o.eventsOut, sim.WriteEvents); err != nil {
 			fatal(err)
 		}
-		fmt.Printf("wrote %d alert events to %s\n", sim.EventCount(), *eventsOut)
+		fmt.Printf("wrote %d alert events to %s\n", sim.EventCount(), o.eventsOut)
 	}
 }
 

@@ -131,17 +131,17 @@ type Scrubber struct {
 
 	table string // per-rule KV digest table
 
-	// Instruments dual-write the historical run-wide aggregate and a
-	// {rule}-labelled family child.
-	rounds        telemetry.MirrorCounter
-	divergentKeys telemetry.MirrorCounter
-	repDispatched telemetry.MirrorCounter
-	repRedriven   telemetry.MirrorCounter
-	repDeduped    telemetry.MirrorCounter
-	sloViolations telemetry.MirrorCounter
-	digBytes      telemetry.MirrorCounter
-	lastDivergent telemetry.MirrorGauge
-	ageHist       telemetry.MirrorHistogram
+	// Instruments are {rule}-labelled family children rolling up into the
+	// run-wide aggregate.
+	rounds        *telemetry.Counter
+	divergentKeys *telemetry.Counter
+	repDispatched *telemetry.Counter
+	repRedriven   *telemetry.Counter
+	repDeduped    *telemetry.Counter
+	sloViolations *telemetry.Counter
+	digBytes      *telemetry.Counter
+	lastDivergent *telemetry.Gauge
+	ageHist       *telemetry.Histogram
 
 	mu      chanMutex
 	round   int
@@ -163,24 +163,21 @@ func New(eng *engine.Engine, cfg Config) *Scrubber {
 	w := eng.W
 	m := w.Metrics
 	dims := []telemetry.Label{telemetry.L("rule", eng.RuleID())}
-	counter := func(name string) telemetry.MirrorCounter {
-		return m.CounterVec(name).Mirror(m.Counter(name), dims...)
-	}
 	return &Scrubber{
 		eng:   eng,
 		w:     w,
 		cfg:   cfg.withDefaults(),
 		table: "areplica-scrub:" + eng.RuleID(),
 
-		rounds:        counter("antientropy.rounds"),
-		divergentKeys: counter("antientropy.divergent_keys"),
-		repDispatched: counter("antientropy.repair.dispatched"),
-		repRedriven:   counter("antientropy.repair.redriven"),
-		repDeduped:    counter("antientropy.repair.deduped"),
-		sloViolations: counter("antientropy.slo_violations"),
-		digBytes:      counter("antientropy.digest.bytes"),
-		lastDivergent: m.GaugeVec("antientropy.last_divergent").Mirror(m.Gauge("antientropy.last_divergent"), dims...),
-		ageHist:       m.HistogramVec("antientropy.divergence.age.seconds").Mirror(m.Histogram("antientropy.divergence.age.seconds"), dims...),
+		rounds:        m.CounterVec("antientropy.rounds").With(dims...),
+		divergentKeys: m.CounterVec("antientropy.divergent_keys").With(dims...),
+		repDispatched: m.CounterVec("antientropy.repair.dispatched").With(dims...),
+		repRedriven:   m.CounterVec("antientropy.repair.redriven").With(dims...),
+		repDeduped:    m.CounterVec("antientropy.repair.deduped").With(dims...),
+		sloViolations: m.CounterVec("antientropy.slo_violations").With(dims...),
+		digBytes:      m.CounterVec("antientropy.digest.bytes").With(dims...),
+		lastDivergent: m.GaugeVec("antientropy.last_divergent").With(dims...),
+		ageHist:       m.HistogramVec("antientropy.divergence.age.seconds").With(dims...),
 
 		mu: make(chanMutex, 1),
 	}
@@ -189,7 +186,7 @@ func New(eng *engine.Engine, cfg Config) *Scrubber {
 // SLOViolationCount returns this rule's divergence-SLO violation count
 // (the labelled child, not the run-wide aggregate) — the burn-rate
 // monitor's divergence signal.
-func (s *Scrubber) SLOViolationCount() int64 { return s.sloViolations.Child.Value() }
+func (s *Scrubber) SLOViolationCount() int64 { return s.sloViolations.Value() }
 
 // Config returns the effective (defaulted) configuration.
 func (s *Scrubber) Config() Config { return s.cfg }

@@ -18,26 +18,29 @@ import (
 // cooldown the breaker half-opens: the next distributed attempt probes
 // the path, re-opening on failure and closing on success.
 type breaker struct {
-	clock     *simclock.Clock
-	threshold int
-	cooldown  time.Duration
+	clock *simclock.Clock
 
 	mu        sync.Mutex
 	fails     int
 	openUntil time.Time
 	halfOpen  bool
 
-	opens     telemetry.MirrorCounter // engine.breaker_open
-	openGauge telemetry.MirrorGauge   // engine.breaker.is_open
+	opens     *telemetry.Counter // engine.breaker_open
+	openGauge *telemetry.Gauge   // engine.breaker.is_open
 }
 
-func newBreaker(clock *simclock.Clock, threshold int, cooldown time.Duration, reg *telemetry.Registry, dims ...telemetry.Label) *breaker {
+// The breaker trips after breakerThreshold consecutive infrastructure
+// failures and stays open for breakerCooldown before a half-open probe.
+const (
+	breakerThreshold = 3
+	breakerCooldown  = time.Minute
+)
+
+func newBreaker(clock *simclock.Clock, reg *telemetry.Registry, dims ...telemetry.Label) *breaker {
 	return &breaker{
 		clock:     clock,
-		threshold: threshold,
-		cooldown:  cooldown,
-		opens:     reg.CounterVec("engine.breaker_open").Mirror(reg.Counter("engine.breaker_open"), dims...),
-		openGauge: reg.GaugeVec("engine.breaker.is_open").Mirror(reg.Gauge("engine.breaker.is_open"), dims...),
+		opens:     reg.CounterVec("engine.breaker_open").With(dims...),
+		openGauge: reg.GaugeVec("engine.breaker.is_open").With(dims...),
 	}
 }
 
@@ -73,8 +76,8 @@ func (b *breaker) failure() {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	b.fails++
-	if b.halfOpen || b.fails >= b.threshold {
-		b.openUntil = b.clock.Now().Add(b.cooldown)
+	if b.halfOpen || b.fails >= breakerThreshold {
+		b.openUntil = b.clock.Now().Add(breakerCooldown)
 		b.halfOpen = false
 		b.fails = 0
 		b.opens.Inc()

@@ -4,6 +4,9 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/model"
+	"repro/internal/objstore"
+	"repro/internal/planner"
 	"repro/internal/simclock"
 	"repro/internal/telemetry"
 )
@@ -15,7 +18,7 @@ var breakerEpoch = time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC)
 func TestBreakerTripsAtThreshold(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	clk := simclock.New(breakerEpoch)
-	b := newBreaker(clk, 3, time.Minute, reg)
+	b := newBreaker(clk, reg)
 
 	for i := 0; i < 2; i++ {
 		b.failure()
@@ -38,7 +41,7 @@ func TestBreakerTripsAtThreshold(t *testing.T) {
 // TestBreakerSuccessResetsCount: a success between failures clears the
 // consecutive-failure count, so sporadic faults never trip it.
 func TestBreakerSuccessResetsCount(t *testing.T) {
-	b := newBreaker(simclock.New(breakerEpoch), 3, time.Minute, nil)
+	b := newBreaker(simclock.New(breakerEpoch), nil)
 	for i := 0; i < 10; i++ {
 		b.failure()
 		b.failure()
@@ -53,9 +56,10 @@ func TestBreakerSuccessResetsCount(t *testing.T) {
 // a probe failure re-opens immediately, a probe success closes.
 func TestBreakerHalfOpenProbe(t *testing.T) {
 	clk := simclock.New(breakerEpoch)
-	b := newBreaker(clk, 2, time.Minute, nil)
-	b.failure()
-	b.failure() // open
+	b := newBreaker(clk, nil)
+	for i := 0; i < breakerThreshold; i++ {
+		b.failure()
+	}
 
 	clk.Go(func() { clk.Sleep(30 * time.Second) })
 	clk.Quiesce()
@@ -86,4 +90,62 @@ func TestBreakerHalfOpenProbe(t *testing.T) {
 	if !b.allow() {
 		t.Fatal("closed breaker opened on a single failure")
 	}
+}
+
+// TestSetGaugesSumAcrossRules: the Set-style gauges are per-rule levels,
+// so with two rules on one registry the plain-name aggregate must be
+// their sum — one rule's Set(0) must not erase what another still holds.
+func TestSetGaugesSumAcrossRules(t *testing.T) {
+	reg := telemetry.NewRegistry()
+	clk := simclock.New(breakerEpoch)
+	a := newBreaker(clk, reg, telemetry.L("rule", "a"))
+	b := newBreaker(clk, reg, telemetry.L("rule", "b"))
+	open := reg.Gauge("engine.breaker.is_open")
+	for i := 0; i < breakerThreshold; i++ {
+		a.failure()
+	}
+	b.success()
+	if open.Value() != 1 {
+		t.Fatalf("is_open = %d after b's success, want a's open breaker still counted", open.Value())
+	}
+	for i := 0; i < breakerThreshold; i++ {
+		b.failure()
+	}
+	a.success()
+	if open.Value() != 1 || open.Max() != 2 {
+		t.Fatalf("is_open = %d (max %d), want 1 open now and 2 at the peak", open.Value(), open.Max())
+	}
+
+	// Two engines on one world: A parks one event, B parks two.
+	fa := newFixture(t, func(r *Rule) { r.ForceN = 1 })
+	w := fa.w
+	ruleB := Rule{Src: srcID, Dst: dstID, SrcBucket: "src-b", DstBucket: "dst-b", ForceN: 1}
+	if err := w.Region(srcID).Obj.CreateBucket(ruleB.SrcBucket, false); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Region(dstID).Obj.CreateBucket(ruleB.DstBucket, false); err != nil {
+		t.Fatal(err)
+	}
+	engB := New(w, planner.New(model.New()), ruleB)
+	if err := w.Region(srcID).Obj.Subscribe(ruleB.SrcBucket, engB.HandleEvent); err != nil {
+		t.Fatal(err)
+	}
+	w.Region(dstID).Obj.SetFailureRate(1.0)
+	fa.put(t, "k", 1<<20, 1)
+	for i, key := range []string{"k1", "k2"} {
+		if _, err := w.Region(srcID).Obj.Put(ruleB.SrcBucket, key, objstore.BlobOfSize(1<<20, uint64(i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	w.Clock.Quiesce()
+	depth := w.Metrics.Gauge("engine.dlq.depth")
+	if depth.Value() != 3 {
+		t.Fatalf("dlq.depth = %d, want 3 (A parked %d, B parked %d)", depth.Value(), len(fa.eng.DLQ()), len(engB.DLQ()))
+	}
+	w.Region(dstID).Obj.SetFailureRate(0)
+	engB.RedriveDLQ()
+	if depth.Value() != 1 {
+		t.Fatalf("dlq.depth = %d after B's redrive, want A's parked event still counted", depth.Value())
+	}
+	w.Clock.Quiesce()
 }

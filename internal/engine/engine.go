@@ -90,37 +90,15 @@ type Rule struct {
 	// instead of letting the planner pick a per-object part size.
 	DisableAdaptiveParts bool
 	// MaxRetries bounds optimistic-validation retries before an event goes
-	// to the dead-letter queue (default 3). It seeds Retry.MaxAttempts
-	// (attempts = MaxRetries + 1) when Retry is unset.
+	// to the dead-letter queue (default 3): a task makes MaxRetries + 1
+	// attempts, spaced by retry.TaskDefault's backoff.
 	MaxRetries int
-
-	// Retry is the task-level retry policy: attempts, exponential backoff
-	// and jitter between them, all consuming virtual time. Unset fields
-	// fill from retry.TaskDefault (with MaxAttempts from MaxRetries).
-	Retry retry.Policy
-	// RequestRetry is the per-request budget a cloud SDK spends on one API
-	// call before surfacing the error (default retry.RequestDefault).
-	RequestRetry retry.Policy
-	// TaskTimeout, when positive, is a deadline propagated through one
-	// event's whole replication: no new attempt or request retry starts
-	// past it. Zero means no deadline.
-	TaskTimeout time.Duration
-
-	// BreakerThreshold is the consecutive infrastructure failures of the
-	// distributed path that trip the per-destination circuit breaker
-	// (default 3); while open, plans degrade to the single-function path.
-	BreakerThreshold int
-	// BreakerCooldown is how long the breaker stays open before a
-	// half-open probe (default 1 minute).
-	BreakerCooldown time.Duration
 
 	// RedriveMax caps automatic DLQ redrives per event (default 2; a
 	// negative value disables automatic redrive); an event re-enters the
-	// pipeline RedriveDelay after dead-lettering until the cap, then parks
+	// pipeline redriveDelay after dead-lettering until the cap, then parks
 	// in the DLQ for manual RedriveDLQ.
 	RedriveMax int
-	// RedriveDelay is the wait before an automatic redrive (default 30s).
-	RedriveDelay time.Duration
 
 	// LockLease bounds how long a crashed orchestrator can wedge a key's
 	// replication lock (default 15 minutes); past it the KV TTL frees the
@@ -148,6 +126,10 @@ type Rule struct {
 	ForceLoc cloud.RegionID
 }
 
+// redriveDelay is the wait before an automatic DLQ redrive (the platform
+// retry of an async invocation).
+const redriveDelay = 30 * time.Second
+
 // WithDefaults fills unset fields with the paper's defaults.
 func (r Rule) WithDefaults() Rule {
 	if r.Percentile <= 0 || r.Percentile >= 1 {
@@ -159,25 +141,12 @@ func (r Rule) WithDefaults() Rule {
 	if r.MaxRetries <= 0 {
 		r.MaxRetries = 3
 	}
-	def := retry.TaskDefault()
-	def.MaxAttempts = r.MaxRetries + 1
-	r.Retry = r.Retry.Merge(def)
-	r.RequestRetry = r.RequestRetry.Merge(retry.RequestDefault())
-	if r.BreakerThreshold <= 0 {
-		r.BreakerThreshold = 3
-	}
-	if r.BreakerCooldown <= 0 {
-		r.BreakerCooldown = time.Minute
-	}
 	// Negative RedriveMax and HedgeBudget (disabled) are kept as they are
 	// so WithDefaults is idempotent — core.Deploy and engine.New both
 	// apply it: mapping them to 0 would turn into the default on a second
 	// application.
 	if r.RedriveMax == 0 {
 		r.RedriveMax = 2
-	}
-	if r.RedriveDelay <= 0 {
-		r.RedriveDelay = 30 * time.Second
 	}
 	if r.ClaimBatch <= 0 {
 		r.ClaimBatch = planner.DefaultClaimBatch
@@ -242,31 +211,31 @@ type Engine struct {
 	// notification dispatches through the fleet scheduler.
 	dispatchGate func(ev objstore.Event, run func(done func()))
 
-	// Instruments dual-write: the unlabelled aggregate keeps its
-	// historical name for existing readers, while the {rule,dest}-labelled
-	// family child gives the fleet-level per-rule breakdown.
-	tasksOK         telemetry.MirrorCounter
-	tasksFailed     telemetry.MirrorCounter
-	tasksChangelog  telemetry.MirrorCounter
-	tasksDLQ        telemetry.MirrorCounter
-	tasksDeduped    telemetry.MirrorCounter
-	eventsDeduped   telemetry.MirrorCounter
-	retries         telemetry.MirrorCounter
-	partsHedged     telemetry.MirrorCounter
-	breakerDegraded telemetry.MirrorCounter
-	dlqRedriven     telemetry.MirrorCounter
-	resumedTasks    telemetry.MirrorCounter
-	partsResumed    telemetry.MirrorCounter
-	partsReclaimed  telemetry.MirrorCounter
-	partsFenced     telemetry.MirrorCounter
-	mpusAborted     telemetry.MirrorCounter
-	locksRecovered  telemetry.MirrorCounter
-	gcMPUs          telemetry.MirrorCounter
-	gcBytes         telemetry.MirrorCounter
-	dlqDepth        telemetry.MirrorGauge
-	taskHist        telemetry.MirrorHistogram
-	lagHist         *telemetry.Histogram // per-destination lag family child
-	dims            []telemetry.Label    // {rule,dest}, reused on exemplars
+	// Instruments are the {rule,dest}-labelled children of their families
+	// (the fleet-level per-rule breakdown); each rolls up into the family
+	// aggregate that readers of the plain name see.
+	tasksOK         *telemetry.Counter
+	tasksFailed     *telemetry.Counter
+	tasksChangelog  *telemetry.Counter
+	tasksDLQ        *telemetry.Counter
+	tasksDeduped    *telemetry.Counter
+	eventsDeduped   *telemetry.Counter
+	retries         *telemetry.Counter
+	partsHedged     *telemetry.Counter
+	breakerDegraded *telemetry.Counter
+	dlqRedriven     *telemetry.Counter
+	resumedTasks    *telemetry.Counter
+	partsResumed    *telemetry.Counter
+	partsReclaimed  *telemetry.Counter
+	partsFenced     *telemetry.Counter
+	mpusAborted     *telemetry.Counter
+	locksRecovered  *telemetry.Counter
+	gcMPUs          *telemetry.Counter
+	gcBytes         *telemetry.Counter
+	dlqDepth        *telemetry.Gauge
+	taskHist        *telemetry.Histogram
+	lagHist         *telemetry.Histogram
+	dims            []telemetry.Label // {rule,dest}, reused on exemplars
 
 	mu       sync.Mutex
 	dlq      []DLQEntry
@@ -293,9 +262,6 @@ func New(w *world.World, pl *planner.Planner, rule Rule) *Engine {
 		telemetry.L("dest", string(rule.Dst)),
 	}
 	m := w.Metrics
-	counter := func(name string) telemetry.MirrorCounter {
-		return m.CounterVec(name).Mirror(m.Counter(name), dims...)
-	}
 	e := &Engine{
 		W:        w,
 		Planner:  pl,
@@ -303,39 +269,39 @@ func New(w *world.World, pl *planner.Planner, rule Rule) *Engine {
 		Tracker:  NewTracker(),
 		ruleID:   ruleID,
 		lock:     newReplLock(w.Region(rule.Src).KV, ruleID, rule.LockLease, w.Clock.Now),
-		breaker:  newBreaker(w.Clock, rule.BreakerThreshold, rule.BreakerCooldown, w.Metrics, dims...),
+		breaker:  newBreaker(w.Clock, w.Metrics, dims...),
 		ckpt:     newCkptStore(w.Region(rule.Src).KV, ruleID),
 		redrives: make(map[string]int),
 		traceSeq: make(map[string]int),
 		ckpts:    make(map[string]ckptRef),
 
-		tasksOK:         counter("engine.tasks.ok"),
-		tasksFailed:     counter("engine.tasks.failed"),
-		tasksChangelog:  counter("engine.tasks.changelog"),
-		tasksDLQ:        counter("engine.tasks.dlq"),
-		tasksDeduped:    counter("engine.tasks.deduped"),
-		eventsDeduped:   counter("engine.events.deduped"),
-		retries:         counter("engine.retries"),
-		partsHedged:     counter("engine.parts.hedged"),
-		breakerDegraded: counter("engine.breaker.degraded"),
-		dlqRedriven:     counter("engine.dlq.redriven"),
-		resumedTasks:    counter("engine.recovery.resumed"),
-		partsResumed:    counter("engine.recovery.parts_resumed"),
-		partsReclaimed:  counter("engine.recovery.parts_reclaimed"),
-		partsFenced:     counter("engine.recovery.parts_fenced"),
-		mpusAborted:     counter("engine.recovery.mpus_aborted"),
-		locksRecovered:  counter("engine.recovery.locks_recovered"),
-		gcMPUs:          counter("engine.gc.mpus_aborted"),
-		gcBytes:         counter("engine.gc.bytes_reclaimed"),
-		dlqDepth:        m.GaugeVec("engine.dlq.depth").Mirror(m.Gauge("engine.dlq.depth"), dims...),
-		taskHist:        m.HistogramVec("engine.task.seconds").Mirror(m.Histogram("engine.task.seconds"), dims...),
+		tasksOK:         m.CounterVec("engine.tasks.ok").With(dims...),
+		tasksFailed:     m.CounterVec("engine.tasks.failed").With(dims...),
+		tasksChangelog:  m.CounterVec("engine.tasks.changelog").With(dims...),
+		tasksDLQ:        m.CounterVec("engine.tasks.dlq").With(dims...),
+		tasksDeduped:    m.CounterVec("engine.tasks.deduped").With(dims...),
+		eventsDeduped:   m.CounterVec("engine.events.deduped").With(dims...),
+		retries:         m.CounterVec("engine.retries").With(dims...),
+		partsHedged:     m.CounterVec("engine.parts.hedged").With(dims...),
+		breakerDegraded: m.CounterVec("engine.breaker.degraded").With(dims...),
+		dlqRedriven:     m.CounterVec("engine.dlq.redriven").With(dims...),
+		resumedTasks:    m.CounterVec("engine.recovery.resumed").With(dims...),
+		partsResumed:    m.CounterVec("engine.recovery.parts_resumed").With(dims...),
+		partsReclaimed:  m.CounterVec("engine.recovery.parts_reclaimed").With(dims...),
+		partsFenced:     m.CounterVec("engine.recovery.parts_fenced").With(dims...),
+		mpusAborted:     m.CounterVec("engine.recovery.mpus_aborted").With(dims...),
+		locksRecovered:  m.CounterVec("engine.recovery.locks_recovered").With(dims...),
+		gcMPUs:          m.CounterVec("engine.gc.mpus_aborted").With(dims...),
+		gcBytes:         m.CounterVec("engine.gc.bytes_reclaimed").With(dims...),
+		dlqDepth:        m.GaugeVec("engine.dlq.depth").With(dims...),
+		taskHist:        m.HistogramVec("engine.task.seconds").With(dims...),
 		lagHist:         m.HistogramVec("engine.lag.seconds").With(dims...),
 		dims:            dims,
 	}
 	e.Tracker.SetTelemetry(m.Histogram("engine.delay.seconds"))
 	e.Tracker.SetWatermarks(
 		e.lagHist,
-		m.GaugeVec("engine.lag.backlog").Mirror(m.Gauge("engine.lag.backlog"), dims...),
+		m.GaugeVec("engine.lag.backlog").With(dims...),
 		m.GaugeVec("engine.lag.oldest_age_ms").With(dims...),
 	)
 	return e
@@ -453,7 +419,7 @@ func (e *Engine) redriveKey(key string) int {
 }
 
 // deadLetter handles an event that exhausted its task attempts: it is
-// re-enqueued after RedriveDelay while the automatic redrive budget
+// re-enqueued after redriveDelay while the automatic redrive budget
 // lasts (the platform retry of an async invocation), then parked in the
 // DLQ. Capped re-enqueue keeps poison events from looping forever.
 // sp is the task span of the attempt that exhausted its retries; it is
@@ -467,7 +433,7 @@ func (e *Engine) deadLetter(sp *telemetry.Span, ev objstore.Event) {
 		e.redrives[id] = n + 1
 		e.mu.Unlock()
 		e.dlqRedriven.Inc()
-		e.W.Clock.Delay(e.Rule.RedriveDelay, func() { e.dispatch(ev, "redrive") })
+		e.W.Clock.Delay(redriveDelay, func() { e.dispatch(ev, "redrive") })
 		return
 	}
 	delete(e.redrives, id)
@@ -725,13 +691,13 @@ func (e *Engine) recoverPending(ev objstore.Event) {
 	e.dispatch(ev, "lock-recovery")
 }
 
-// request runs one cloud API call under the rule's per-request retry
-// budget — the quick, tightly-bounded retries of a real SDK. Only
+// request runs one cloud API call under retry.RequestDefault — the quick,
+// tightly-bounded retries of a real SDK. Only
 // ErrUnavailable-class transient faults are retried; anything else
 // (missing keys, vanished uploads, failed preconditions) surfaces
 // immediately. Each backoff wait becomes a "req-backoff" child of sp so
 // request-level retry stalls are attributable on the critical path.
-func (e *Engine) request(sp *telemetry.Span, rng *rand.Rand, deadline time.Time, fn func() error) error {
+func (e *Engine) request(sp *telemetry.Span, rng *rand.Rand, fn func() error) error {
 	clock := e.W.Clock
 	onWait := func(retry int, wait time.Duration) {
 		start := clock.Now()
@@ -740,7 +706,7 @@ func (e *Engine) request(sp *telemetry.Span, rng *rand.Rand, deadline time.Time,
 			Set("n", int64(retry)).
 			EndAt(start.Add(wait))
 	}
-	return retry.DoObserved(clock, rng, e.Rule.RequestRetry, deadline, onWait, func(int) error {
+	return retry.DoObserved(clock, rng, retry.RequestDefault(), time.Time{}, onWait, func(int) error {
 		err := fn()
 		if err != nil && !errors.Is(err, objstore.ErrUnavailable) {
 			return retry.Permanent(err)
@@ -757,14 +723,12 @@ func (e *Engine) replicateHeld(ctx *faas.Ctx, ev objstore.Event) uint64 {
 	dst := e.W.Region(e.Rule.Dst)
 	clock := e.W.Clock
 	rng := simrand.New("engine-retry", e.ruleID, ev.Key, fmt.Sprint(ev.Seq))
-	var deadline time.Time
-	if e.Rule.TaskTimeout > 0 {
-		deadline = clock.Now().Add(e.Rule.TaskTimeout)
-	}
+	policy := retry.TaskDefault()
+	policy.MaxAttempts = e.Rule.MaxRetries + 1
 
 	if ev.Type == objstore.EventDelete {
 		dsp := ctx.Span.Child("dst-delete")
-		err := e.request(dsp, rng, deadline, func() error {
+		err := e.request(dsp, rng, func() error {
 			return dst.Obj.DeleteWithOrigin(e.Rule.DstBucket, ev.Key, e.origin())
 		})
 		dsp.End()
@@ -807,23 +771,19 @@ func (e *Engine) replicateHeld(ctx *faas.Ctx, ev objstore.Event) uint64 {
 
 	key := ev.Key
 	etag, seq, size, evTime := ev.ETag, ev.Seq, ev.Size, ev.Time
-	for attempt := 0; attempt < e.Rule.Retry.MaxAttempts; attempt++ {
+	for attempt := 0; attempt < policy.MaxAttempts; attempt++ {
 		if attempt > 0 {
 			// Exponential backoff with seeded jitter, consuming virtual
 			// time — instantaneous retries would understate convergence
 			// time under faults and hammer a struggling destination.
 			bsp := ctx.Span.Child("backoff").Set("n", int64(attempt))
-			clock.Sleep(e.Rule.Retry.Backoff(attempt-1, rng))
+			clock.Sleep(policy.Backoff(attempt-1, rng))
 			bsp.End()
 			e.retries.Inc()
 		}
 		if !ctx.Alive() {
 			// The orchestrator instance crashed; the DLQ redrive (the
 			// platform's async-invocation retry) picks the event up again.
-			break
-		}
-		if !deadline.IsZero() && clock.Now().After(deadline) {
-			ctx.Span.Set("deadline_exceeded", true)
 			break
 		}
 		start := clock.Now()
@@ -901,7 +861,7 @@ func (e *Engine) replicateHeld(ctx *faas.Ctx, ev objstore.Event) uint64 {
 		// mid-flight) or a request hit a transient fault. Chase the
 		// current head and try again.
 		var head objstore.Meta
-		err := e.request(ctx.Span, rng, deadline, func() error {
+		err := e.request(ctx.Span, rng, func() error {
 			var herr error
 			head, herr = src.Obj.Head(e.Rule.SrcBucket, key)
 			return herr
@@ -940,8 +900,7 @@ func (e *Engine) report(sp *telemetry.Span, t TaskResult) {
 		}
 		secs := simclock.ToSeconds(t.End.Sub(t.Start))
 		e.taskHist.Observe(secs)
-		sp.Exemplar(e.taskHist.Agg, secs, e.dims...)
-		sp.Exemplar(e.taskHist.Child, secs)
+		sp.Exemplar(e.taskHist, secs, e.dims...)
 	} else {
 		e.tasksFailed.Inc()
 	}
@@ -1042,7 +1001,7 @@ func (e *Engine) transferWhole(ctx *faas.Ctx, sp *telemetry.Span, key, dstETag s
 	reqRNG := simrand.New("engine-single-req", ctx.Instance.ID, key)
 	gsp := sp.Child("src-get")
 	var obj objstore.Object
-	err := e.request(gsp, reqRNG, time.Time{}, func() error {
+	err := e.request(gsp, reqRNG, func() error {
 		var gerr error
 		obj, gerr = src.Obj.Get(e.Rule.SrcBucket, key)
 		return gerr
@@ -1081,7 +1040,7 @@ func (e *Engine) transferWhole(ctx *faas.Ctx, sp *telemetry.Span, key, dstETag s
 		return execResult{reason: "instance crashed mid-transfer"}
 	}
 	psp := sp.Child("dst-put")
-	err = e.request(psp, reqRNG, time.Time{}, func() error {
+	err = e.request(psp, reqRNG, func() error {
 		_, perr := dst.Obj.PutWithOrigin(e.Rule.DstBucket, key, obj.Blob, e.origin())
 		return perr
 	})
@@ -1268,7 +1227,7 @@ func (e *Engine) distributed(ctx *faas.Ctx, sp *telemetry.Span, key, etag string
 		isp.End()
 		msp := sp.Child("mpu-create")
 		var mpu string
-		err := e.request(msp, reqRNG, time.Time{}, func() error {
+		err := e.request(msp, reqRNG, func() error {
 			var cerr error
 			mpu, cerr = dst.Obj.CreateMultipartWithOrigin(e.Rule.DstBucket, key, e.origin())
 			return cerr
@@ -1333,7 +1292,7 @@ func (e *Engine) resumeTask(ctx *faas.Ctx, sp *telemetry.Span, ds *distState, ck
 		return nil
 	}
 	hsp := sp.Child("mpu-head")
-	err := e.request(hsp, reqRNG, time.Time{}, func() error {
+	err := e.request(hsp, reqRNG, func() error {
 		_, herr := dst.Obj.HeadMultipart(ck.MPU)
 		return herr
 	})
@@ -1540,7 +1499,7 @@ func (e *Engine) replicator(ctx *faas.Ctx, ds *distState, p *pool, src, dst, loc
 		}
 		var blob objstore.Blob
 		var cur string
-		err := e.request(gsp, rng, time.Time{}, func() error {
+		err := e.request(gsp, rng, func() error {
 			var gerr error
 			blob, cur, gerr = src.Obj.GetRange(e.Rule.SrcBucket, ds.key, off, length)
 			return gerr
@@ -1629,7 +1588,7 @@ func (e *Engine) replicator(ctx *faas.Ctx, ds *distState, p *pool, src, dst, loc
 		if f.hedged {
 			usp.Set(telemetry.CatAttr, string(telemetry.CatHedge))
 		}
-		err := e.request(usp, upRNG, time.Time{}, func() error {
+		err := e.request(usp, upRNG, func() error {
 			_, uerr := dst.Obj.UploadPart(ds.mpu, int(f.idx)+1, f.blob)
 			return uerr
 		})
@@ -1749,7 +1708,7 @@ func (e *Engine) completeTask(ctx *faas.Ctx, sp *telemetry.Span, ds *distState, 
 	}
 	fsp := sp.Child("mpu-complete")
 	var res objstore.PutResult
-	err := e.request(fsp, rng, time.Time{}, func() error {
+	err := e.request(fsp, rng, func() error {
 		var ferr error
 		res, ferr = dst.Obj.CompleteMultipart(ds.mpu)
 		return ferr

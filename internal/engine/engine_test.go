@@ -12,7 +12,6 @@ import (
 	"repro/internal/objstore"
 	"repro/internal/planner"
 	"repro/internal/profiler"
-	"repro/internal/retry"
 	"repro/internal/telemetry"
 	"repro/internal/world"
 )
@@ -401,24 +400,18 @@ func TestRuleDefaults(t *testing.T) {
 // each field started as. A "disabled" value that a first pass maps onto
 // "unset" would silently re-enable on the second.
 func TestRuleDefaultsIdempotent(t *testing.T) {
-	negRetry := retry.Policy{MaxAttempts: -1, Base: -1, Max: -1, Multiplier: -1, Jitter: -1}
-	customRetry := retry.Policy{MaxAttempts: 7, Base: time.Second, Max: time.Minute, Multiplier: 3, Jitter: 0.25}
 	for name, r := range map[string]Rule{
 		"zero":    {},
 		"default": Rule{}.WithDefaults(),
 		"negative": {
 			SLO: -1, Percentile: -1, PartSize: -1, Scheduling: -1, ClaimBatch: -1, HedgeBudget: -1,
-			MaxRetries: -1, Retry: negRetry, RequestRetry: negRetry, TaskTimeout: -1,
-			BreakerThreshold: -1, BreakerCooldown: -1, RedriveMax: -1, RedriveDelay: -1,
-			LockLease: -1, ForceN: -1,
+			MaxRetries: -1, RedriveMax: -1, LockLease: -1, ForceN: -1,
 		},
 		"custom": {
 			Src: "aws:us-east-1", Dst: "azure:eastus", SrcBucket: "s", DstBucket: "d",
 			SLO: time.Minute, Percentile: 0.9, PartSize: 1 << 20, Scheduling: FairDispatch,
 			DisableDoubleBuffer: true, ClaimBatch: 3, HedgeBudget: 2, DisableAdaptiveParts: true,
-			MaxRetries: 5, Retry: customRetry, RequestRetry: customRetry, TaskTimeout: time.Hour,
-			BreakerThreshold: 9, BreakerCooldown: time.Second, RedriveMax: 4, RedriveDelay: time.Second,
-			LockLease: time.Minute, KeyPrefix: "p/", AcceptOrigins: []string{"areplica/x"},
+			MaxRetries: 5, RedriveMax: 4, LockLease: time.Minute, KeyPrefix: "p/", AcceptOrigins: []string{"areplica/x"},
 			ForceN: 4, ForceLoc: "aws:us-east-1",
 		},
 	} {

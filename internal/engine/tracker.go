@@ -52,11 +52,11 @@ type Tracker struct {
 
 	// Lag watermark instruments (all optional): lagHist is the
 	// per-destination replication-lag histogram child, backlog mirrors the
-	// pending-event depth (aggregate + labelled child), and oldestMS holds
-	// the age of the oldest unreplicated event in milliseconds, refreshed
-	// by SampleWatermarks on the virtual clock.
+	// pending-event depth, and oldestMS holds the age of the oldest
+	// unreplicated event in milliseconds, refreshed by SampleWatermarks on
+	// the virtual clock.
 	lagHist  *telemetry.Histogram
-	backlog  telemetry.MirrorGauge
+	backlog  *telemetry.Gauge
 	oldestMS *telemetry.Gauge
 }
 
@@ -151,9 +151,9 @@ func (t *Tracker) SetTelemetry(hist *telemetry.Histogram) {
 
 // SetWatermarks wires the RTC-style lag watermark instruments: lag is
 // the per-destination replication-lag histogram (each resolved event's
-// observed→durable time), backlog the pending-depth gauge pair, and
+// observed→durable time), backlog the pending-depth gauge, and
 // oldestMS the oldest-unreplicated-age gauge SampleWatermarks refreshes.
-func (t *Tracker) SetWatermarks(lag *telemetry.Histogram, backlog telemetry.MirrorGauge, oldestMS *telemetry.Gauge) {
+func (t *Tracker) SetWatermarks(lag *telemetry.Histogram, backlog, oldestMS *telemetry.Gauge) {
 	t.mu.Lock()
 	t.lagHist = lag
 	t.backlog = backlog

@@ -213,7 +213,7 @@ func runFaultScenario(prof chaos.Profile, spec string, objects int, quick bool, 
 
 	delays := svc.Engine.Tracker.DelaysSeconds()
 	dupFinal := dupWatch.Duplicates()
-	// Watermarks: the backlog high-water comes from the mirrored gauge's
+	// Watermarks: the backlog high-water comes from the gauge family's
 	// aggregate (raised on every pending add, not just at poll points);
 	// the oldest-age peak from the monitor's labelled child gauge, which
 	// SampleWatermarks refreshes each poll.

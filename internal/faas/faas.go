@@ -175,20 +175,20 @@ type Platform struct {
 	crashes       telemetry.Counter
 	maxConcurrent telemetry.Gauge
 
-	// Optional run-wide registry instruments (zero values no-op until
+	// Optional run-wide registry instruments (nil no-ops until
 	// SetTelemetry). Counters, the running gauge and the exec histogram
-	// dual-write a {provider,region}-labelled family child next to the
-	// historical cross-region aggregate.
-	regInvocations telemetry.MirrorCounter
-	regColdStarts  telemetry.MirrorCounter
-	regWarmStarts  telemetry.MirrorCounter
-	regTimeouts    telemetry.MirrorCounter
-	regCrashes     telemetry.MirrorCounter
-	regRunning     telemetry.MirrorGauge
+	// are {provider,region}-labelled family children rolling up into the
+	// cross-region aggregate.
+	regInvocations *telemetry.Counter
+	regColdStarts  *telemetry.Counter
+	regWarmStarts  *telemetry.Counter
+	regTimeouts    *telemetry.Counter
+	regCrashes     *telemetry.Counter
+	regRunning     *telemetry.Gauge
 	invokeHist     *telemetry.Histogram
 	startupHist    *telemetry.Histogram
 	postponeHist   *telemetry.Histogram
-	execHist       telemetry.MirrorHistogram
+	execHist       *telemetry.Histogram
 }
 
 // New returns a Platform in region with the given configuration, billing
@@ -280,19 +280,16 @@ func (p *Platform) SetTelemetry(reg *telemetry.Registry) {
 		telemetry.L("provider", string(p.region.Provider)),
 		telemetry.L("region", string(p.region.ID())),
 	}
-	counter := func(name string) telemetry.MirrorCounter {
-		return reg.CounterVec(name).Mirror(reg.Counter(name), dims...)
-	}
-	p.regInvocations = counter("faas.invocations")
-	p.regColdStarts = counter("faas.cold_starts")
-	p.regWarmStarts = counter("faas.warm_starts")
-	p.regTimeouts = counter("faas.timeouts")
-	p.regCrashes = counter("faas.crashes")
-	p.regRunning = reg.GaugeVec("faas.running").Mirror(reg.Gauge("faas.running"), dims...)
+	p.regInvocations = reg.CounterVec("faas.invocations").With(dims...)
+	p.regColdStarts = reg.CounterVec("faas.cold_starts").With(dims...)
+	p.regWarmStarts = reg.CounterVec("faas.warm_starts").With(dims...)
+	p.regTimeouts = reg.CounterVec("faas.timeouts").With(dims...)
+	p.regCrashes = reg.CounterVec("faas.crashes").With(dims...)
+	p.regRunning = reg.GaugeVec("faas.running").With(dims...)
 	p.invokeHist = reg.Histogram("faas.invoke.seconds")
 	p.startupHist = reg.Histogram("faas.startup.seconds")
 	p.postponeHist = reg.Histogram("faas.postpone.seconds")
-	p.execHist = reg.HistogramVec("faas.exec.seconds").Mirror(reg.Histogram("faas.exec.seconds"), dims...)
+	p.execHist = reg.HistogramVec("faas.exec.seconds").With(dims...)
 }
 
 // draw samples d with the platform's private rng, clamped at lo.

@@ -9,7 +9,7 @@
 //
 // Everything runs on the virtual clock and is deterministic: waiters are
 // admitted in FIFO ticket order, token buckets refill in virtual time,
-// and all instruments dual-write labelled family children next to
+// and all instruments are labelled family children rolling up into their
 // unlabelled aggregates, so same-seed runs are byte-identical.
 package fleet
 
@@ -86,12 +86,12 @@ type lane struct {
 	kvTokens float64
 	kvLast   time.Time
 
-	fnWaits    telemetry.MirrorCounter
-	fnForced   telemetry.MirrorCounter
-	fnInflight telemetry.MirrorGauge
-	fnWaitHist telemetry.MirrorHistogram
-	kvWaits    telemetry.MirrorCounter
-	kvWaitHist telemetry.MirrorHistogram
+	fnWaits    *telemetry.Counter
+	fnForced   *telemetry.Counter
+	fnInflight *telemetry.Gauge
+	fnWaitHist *telemetry.Histogram
+	kvWaits    *telemetry.Counter
+	kvWaitHist *telemetry.Histogram
 }
 
 // NewLedger returns a Ledger enforcing cfg on every lane, instrumented
@@ -121,15 +121,12 @@ func (l *Ledger) lane(id LaneID) *lane {
 	}
 	if m := l.reg; m != nil {
 		dims := id.labels()
-		counter := func(name string) telemetry.MirrorCounter {
-			return m.CounterVec(name).Mirror(m.Counter(name), dims...)
-		}
-		ln.fnWaits = counter("fleet.quota.fn.waits")
-		ln.fnForced = counter("fleet.quota.fn.forced")
-		ln.fnInflight = m.GaugeVec("fleet.quota.fn.inflight").Mirror(m.Gauge("fleet.quota.fn.inflight"), dims...)
-		ln.fnWaitHist = m.HistogramVec("fleet.quota.fn.wait.seconds").Mirror(m.Histogram("fleet.quota.fn.wait.seconds"), dims...)
-		ln.kvWaits = counter("fleet.quota.kv.waits")
-		ln.kvWaitHist = m.HistogramVec("fleet.quota.kv.wait.seconds").Mirror(m.Histogram("fleet.quota.kv.wait.seconds"), dims...)
+		ln.fnWaits = m.CounterVec("fleet.quota.fn.waits").With(dims...)
+		ln.fnForced = m.CounterVec("fleet.quota.fn.forced").With(dims...)
+		ln.fnInflight = m.GaugeVec("fleet.quota.fn.inflight").With(dims...)
+		ln.fnWaitHist = m.HistogramVec("fleet.quota.fn.wait.seconds").With(dims...)
+		ln.kvWaits = m.CounterVec("fleet.quota.kv.waits").With(dims...)
+		ln.kvWaitHist = m.HistogramVec("fleet.quota.kv.wait.seconds").With(dims...)
 	}
 	l.lanes[id] = ln
 	return ln

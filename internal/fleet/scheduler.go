@@ -83,11 +83,11 @@ type schedRule struct {
 	starvedCount int64
 	quotaWaited  int64
 
-	admits     telemetry.MirrorCounter
-	defers     telemetry.MirrorCounter
-	starved    telemetry.MirrorCounter
-	quotaWaits telemetry.MirrorCounter
-	waitHist   telemetry.MirrorHistogram
+	admits     *telemetry.Counter
+	defers     *telemetry.Counter
+	starved    *telemetry.Counter
+	quotaWaits *telemetry.Counter
+	waitHist   *telemetry.Histogram
 }
 
 type schedLane struct {
@@ -101,8 +101,8 @@ type schedLane struct {
 	eligible ruleHeap
 	nBatches int64 // non-empty pump rounds on this lane
 
-	batches   telemetry.MirrorCounter
-	batchSize telemetry.MirrorHistogram
+	batches   *telemetry.Counter
+	batchSize *telemetry.Histogram
 }
 
 // ruleHeap implements container/heap over rules with queued work. Rules
@@ -172,22 +172,19 @@ func (s *Scheduler) Register(ruleID, dest string, lane LaneID, weight float64, p
 		ln = &schedLane{id: lane}
 		if m := s.reg; m != nil {
 			dims := lane.labels()
-			ln.batches = m.CounterVec("fleet.batch.count").Mirror(m.Counter("fleet.batch.count"), dims...)
-			ln.batchSize = m.HistogramVec("fleet.batch.size").Mirror(m.Histogram("fleet.batch.size"), dims...)
+			ln.batches = m.CounterVec("fleet.batch.count").With(dims...)
+			ln.batchSize = m.HistogramVec("fleet.batch.size").With(dims...)
 		}
 		s.lanes[lane] = ln
 	}
 	r := &schedRule{id: ruleID, lane: ln, weight: weight, priority: priority, heapIdx: -1}
 	if m := s.reg; m != nil {
 		dims := []telemetry.Label{telemetry.L("rule", ruleID), telemetry.L("dest", dest)}
-		counter := func(name string) telemetry.MirrorCounter {
-			return m.CounterVec(name).Mirror(m.Counter(name), dims...)
-		}
-		r.admits = counter("fleet.sched.admits")
-		r.defers = counter("fleet.sched.defers")
-		r.starved = counter("fleet.sched.starved")
-		r.quotaWaits = counter("fleet.quota.waits")
-		r.waitHist = m.HistogramVec("fleet.sched.wait.seconds").Mirror(m.Histogram("fleet.sched.wait.seconds"), dims...)
+		r.admits = m.CounterVec("fleet.sched.admits").With(dims...)
+		r.defers = m.CounterVec("fleet.sched.defers").With(dims...)
+		r.starved = m.CounterVec("fleet.sched.starved").With(dims...)
+		r.quotaWaits = m.CounterVec("fleet.quota.waits").With(dims...)
+		r.waitHist = m.HistogramVec("fleet.sched.wait.seconds").With(dims...)
 	}
 	s.rules[ruleID] = r
 	return nil
@@ -357,8 +354,7 @@ func (s *Scheduler) BatchStats() BatchStats {
 	defer s.mu.Unlock()
 	var st BatchStats
 	for _, ln := range s.lanes {
-		// The mirror's Value() is the fleet-wide aggregate; the lane's own
-		// plain counter avoids multiplying it by the number of lanes.
+		// The lane's plain counter counts with or without a registry.
 		st.Batches += ln.nBatches
 	}
 	for _, r := range s.rules {

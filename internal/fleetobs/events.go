@@ -94,22 +94,6 @@ func (l *EventLog) Len() int {
 	return len(l.events)
 }
 
-// CountSeverity returns how many events carry the given severity.
-func (l *EventLog) CountSeverity(sev string) int {
-	if l == nil {
-		return 0
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	n := 0
-	for _, ev := range l.events {
-		if ev.Severity == sev {
-			n++
-		}
-	}
-	return n
-}
-
 // WriteJSONL writes the log as one compact JSON object per line, in
 // append order — deterministic for a deterministic run (struct field
 // order fixes key order; virtual timestamps fix values).

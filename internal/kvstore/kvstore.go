@@ -7,7 +7,6 @@ package kvstore
 
 import (
 	"errors"
-	"fmt"
 	"sync"
 	"time"
 
@@ -349,15 +348,4 @@ func (s *Store) Len(table string) int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return len(s.tables[table])
-}
-
-// Dump returns a formatted listing of a table for debugging.
-func (s *Store) Dump(table string) string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := ""
-	for k, v := range s.tables[table] {
-		out += fmt.Sprintf("%s: %v\n", k, v)
-	}
-	return out
 }

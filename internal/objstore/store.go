@@ -209,10 +209,6 @@ func notifyDelayFor(p cloud.Provider) stats.Normal {
 	return stats.N(0.4, 0.1)
 }
 
-// NotifyDelay exposes the store's notification delay distribution (the
-// profiler and planner reason about it as T_n).
-func (s *Store) NotifyDelay() stats.Normal { return s.notifyDelay }
-
 // ErrUnavailable is the transient "503 Slow Down" class of failure
 // injected by SetFailureRate.
 var ErrUnavailable = errors.New("objstore: service unavailable (injected)")

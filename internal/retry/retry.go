@@ -36,8 +36,8 @@ func Permanent(err error) error {
 	return permanentError{err: err}
 }
 
-// Policy is one layer's retry budget and backoff shape. The zero Policy
-// is "unset"; fill it with Merge or use a package default.
+// Policy is one layer's retry budget and backoff shape; the two layers'
+// policies are TaskDefault and RequestDefault.
 type Policy struct {
 	// MaxAttempts bounds the total tries (first attempt included).
 	MaxAttempts int
@@ -62,29 +62,6 @@ func TaskDefault() Policy {
 // tightly-bounded retries of a single API call.
 func RequestDefault() Policy {
 	return Policy{MaxAttempts: 3, Base: 100 * time.Millisecond, Max: time.Second, Multiplier: 2, Jitter: 0.5}
-}
-
-// IsZero reports whether the policy is unset.
-func (p Policy) IsZero() bool { return p.MaxAttempts == 0 }
-
-// Merge fills unset fields from def.
-func (p Policy) Merge(def Policy) Policy {
-	if p.MaxAttempts <= 0 {
-		p.MaxAttempts = def.MaxAttempts
-	}
-	if p.Base <= 0 {
-		p.Base = def.Base
-	}
-	if p.Max <= 0 {
-		p.Max = def.Max
-	}
-	if p.Multiplier <= 1 {
-		p.Multiplier = def.Multiplier
-	}
-	if p.Jitter <= 0 || p.Jitter > 1 {
-		p.Jitter = def.Jitter
-	}
-	return p
 }
 
 // Backoff returns the wait before retry number retry (0-based: the wait

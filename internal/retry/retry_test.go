@@ -129,18 +129,3 @@ func TestRetryDoDeadline(t *testing.T) {
 		t.Fatalf("attempts = %d, want 2 (deadline must cut the budget)", n)
 	}
 }
-
-// TestRetryPolicyMerge covers default filling.
-func TestRetryPolicyMerge(t *testing.T) {
-	def := TaskDefault()
-	got := Policy{MaxAttempts: 7}.Merge(def)
-	if got.MaxAttempts != 7 || got.Base != def.Base || got.Multiplier != def.Multiplier {
-		t.Fatalf("Merge = %+v", got)
-	}
-	if (Policy{}).Merge(def) != def {
-		t.Fatal("zero policy must merge to the default")
-	}
-	if !(Policy{}).IsZero() || def.IsZero() {
-		t.Fatal("IsZero misreports")
-	}
-}

@@ -112,98 +112,85 @@ func (in *labelInterner) key(labels []Label) string {
 	return canonicalLabels(labels)
 }
 
-// CounterVec is a family of counters sharing one name, distinguished by
-// labels. With returns an ordinary *Counter, so hot paths hold the child
-// once and pay the same allocation-free cost as an unlabelled counter. A
-// nil *CounterVec returns nil children, which no-op.
-type CounterVec struct {
-	name     string
+// family is one named instrument family: an aggregate plus the labelled
+// children that roll every update up into it at write time, so readers of
+// the plain name (Registry.Counter/Gauge/Histogram) see the exact total
+// while the children carry the per-dimension breakdown. A nil *family
+// returns nil instruments, which no-op.
+type family[T any] struct {
+	agg      *T
+	newChild func(agg *T) *T
 	mu       sync.Mutex
-	children map[string]*Counter
+	children map[string]*T
 }
 
-// With returns the child for the given labels, creating it on first use.
-func (v *CounterVec) With(labels ...Label) *Counter {
-	if v == nil {
+// CounterVec is a family of counters sharing one name, distinguished by
+// labels. With returns an ordinary *Counter, so hot paths hold the child
+// once and pay the same allocation-free cost as an unlabelled counter.
+type CounterVec = family[Counter]
+
+// GaugeVec is a family of gauges sharing one name, distinguished by
+// labels. Its aggregate is the sum of its children.
+type GaugeVec = family[Gauge]
+
+// HistogramVec is a family of histograms sharing one name and bucket
+// layout, distinguished by labels.
+type HistogramVec = family[Histogram]
+
+// With returns the child for the given labels, creating it on first use;
+// with no labels it returns the family's aggregate.
+func (f *family[T]) With(labels ...Label) *T {
+	if f == nil {
 		return nil
 	}
+	if len(labels) == 0 {
+		return f.agg
+	}
 	key := interned.key(labels)
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	c, ok := v.children[key]
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	c, ok := f.children[key]
 	if !ok {
-		c = &Counter{}
-		v.children[key] = c
+		c = f.newChild(f.agg)
+		f.children[key] = c
 	}
 	return c
 }
 
-// GaugeVec is a family of gauges sharing one name, distinguished by
-// labels. A nil *GaugeVec returns nil children, which no-op.
-type GaugeVec struct {
-	name     string
-	mu       sync.Mutex
-	children map[string]*Gauge
+// each visits the aggregate (labels "") and every child with its
+// canonical label string.
+func (f *family[T]) each(fn func(labels string, inst *T)) {
+	fn("", f.agg)
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	for labels, c := range f.children {
+		fn(labels, c)
+	}
 }
 
-// With returns the child for the given labels, creating it on first use.
-func (v *GaugeVec) With(labels ...Label) *Gauge {
-	if v == nil {
-		return nil
-	}
-	key := interned.key(labels)
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	g, ok := v.children[key]
+// lookup returns m[name], creating the family on first use. Hot paths
+// look instruments up by name, so a hit must not allocate: newAgg is only
+// called here (a capturing closure stays on the caller's stack) and
+// newChild, which the family keeps, captures nothing.
+func lookup[T any](r *Registry, m map[string]*family[T], name string, newAgg func() *T, newChild func(agg *T) *T) *family[T] {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	f, ok := m[name]
 	if !ok {
-		g = &Gauge{}
-		v.children[key] = g
+		f = &family[T]{agg: newAgg(), newChild: newChild, children: make(map[string]*T)}
+		m[name] = f
 	}
-	return g
-}
-
-// HistogramVec is a family of histograms sharing one name and bucket
-// layout, distinguished by labels. A nil *HistogramVec returns nil
-// children, which no-op.
-type HistogramVec struct {
-	name     string
-	bounds   []float64
-	mu       sync.Mutex
-	children map[string]*Histogram
-}
-
-// With returns the child for the given labels, creating it on first use.
-func (v *HistogramVec) With(labels ...Label) *Histogram {
-	if v == nil {
-		return nil
-	}
-	key := interned.key(labels)
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	h, ok := v.children[key]
-	if !ok {
-		h = NewHistogram(v.bounds)
-		v.children[key] = h
-	}
-	return h
+	return f
 }
 
 // CounterVec returns the named counter family, creating it on first use.
-// The family shares its name with the unlabelled Counter of the same
-// name, if any: by convention the unlabelled instrument is the aggregate
-// and the family carries the per-dimension breakdown.
 func (r *Registry) CounterVec(name string) *CounterVec {
 	if r == nil {
 		return nil
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	v, ok := r.counterVecs[name]
-	if !ok {
-		v = &CounterVec{name: name, children: make(map[string]*Counter)}
-		r.counterVecs[name] = v
-	}
-	return v
+	return lookup(r, r.counters, name,
+		func() *Counter { return &Counter{} },
+		func(agg *Counter) *Counter { return &Counter{agg: agg} })
 }
 
 // GaugeVec returns the named gauge family, creating it on first use.
@@ -211,14 +198,9 @@ func (r *Registry) GaugeVec(name string) *GaugeVec {
 	if r == nil {
 		return nil
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	v, ok := r.gaugeVecs[name]
-	if !ok {
-		v = &GaugeVec{name: name, children: make(map[string]*Gauge)}
-		r.gaugeVecs[name] = v
-	}
-	return v
+	return lookup(r, r.gauges, name,
+		func() *Gauge { return &Gauge{} },
+		func(agg *Gauge) *Gauge { return &Gauge{agg: agg} })
 }
 
 // HistogramVec returns the named histogram family with the default
@@ -233,93 +215,7 @@ func (r *Registry) HistogramVecBuckets(name string, bounds []float64) *Histogram
 	if r == nil {
 		return nil
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	v, ok := r.histVecs[name]
-	if !ok {
-		if len(bounds) == 0 {
-			bounds = DefaultLatencyBuckets()
-		}
-		v = &HistogramVec{name: name, bounds: append([]float64(nil), bounds...), children: make(map[string]*Histogram)}
-		r.histVecs[name] = v
-	}
-	return v
-}
-
-// MirrorCounter fans every Add out to an aggregate counter and a labelled
-// child, so existing readers of the global name keep working while the
-// dimensional family fills in. The zero value no-ops.
-type MirrorCounter struct {
-	Agg   *Counter
-	Child *Counter
-}
-
-// Mirror pairs the aggregate with the family child for the given labels.
-func (v *CounterVec) Mirror(agg *Counter, labels ...Label) MirrorCounter {
-	return MirrorCounter{Agg: agg, Child: v.With(labels...)}
-}
-
-// Add increments both the aggregate and the labelled child.
-func (m MirrorCounter) Add(n int64) {
-	m.Agg.Add(n)
-	m.Child.Add(n)
-}
-
-// Inc is Add(1).
-func (m MirrorCounter) Inc() { m.Add(1) }
-
-// Value returns the aggregate count.
-func (m MirrorCounter) Value() int64 { return m.Agg.Value() }
-
-// MirrorGauge fans every update out to an aggregate gauge and a labelled
-// child. The aggregate keeps the historical last-writer-wins semantics
-// on Set; the labelled child is the authoritative per-dimension level.
-// The zero value no-ops.
-type MirrorGauge struct {
-	Agg   *Gauge
-	Child *Gauge
-}
-
-// Mirror pairs the aggregate with the family child for the given labels.
-func (v *GaugeVec) Mirror(agg *Gauge, labels ...Label) MirrorGauge {
-	return MirrorGauge{Agg: agg, Child: v.With(labels...)}
-}
-
-// Set stores n on both the aggregate and the labelled child.
-func (m MirrorGauge) Set(n int64) {
-	m.Agg.Set(n)
-	m.Child.Set(n)
-}
-
-// Add moves both gauges by delta.
-func (m MirrorGauge) Add(delta int64) {
-	m.Agg.Add(delta)
-	m.Child.Add(delta)
-}
-
-// SetMax raises both gauges to n if it exceeds their current values.
-func (m MirrorGauge) SetMax(n int64) {
-	m.Agg.SetMax(n)
-	m.Child.SetMax(n)
-}
-
-// Value returns the aggregate level.
-func (m MirrorGauge) Value() int64 { return m.Agg.Value() }
-
-// MirrorHistogram fans every observation out to an aggregate histogram
-// and a labelled child. The zero value no-ops.
-type MirrorHistogram struct {
-	Agg   *Histogram
-	Child *Histogram
-}
-
-// Mirror pairs the aggregate with the family child for the given labels.
-func (v *HistogramVec) Mirror(agg *Histogram, labels ...Label) MirrorHistogram {
-	return MirrorHistogram{Agg: agg, Child: v.With(labels...)}
-}
-
-// Observe records v on both the aggregate and the labelled child.
-func (m MirrorHistogram) Observe(v float64) {
-	m.Agg.Observe(v)
-	m.Child.Observe(v)
+	return lookup(r, r.hists, name,
+		func() *Histogram { return NewHistogram(bounds) },
+		func(agg *Histogram) *Histogram { return newHistogram(agg.bounds, agg) })
 }

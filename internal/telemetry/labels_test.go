@@ -10,10 +10,10 @@ import (
 )
 
 // fixtureRegistry builds a deterministic registry mixing unlabelled
-// aggregates with labelled families, exercising every instrument kind.
+// instruments with labelled families (whose aggregates are the roll-up
+// of their children), exercising every instrument kind.
 func fixtureRegistry() *Registry {
 	r := NewRegistry()
-	r.Counter("engine.tasks.ok").Add(40)
 	r.Gauge("engine.dlq.depth").Set(3)
 	h := r.HistogramBuckets("engine.task.seconds", []float64{0.5, 1, 2, 4})
 	for _, v := range []float64{0.2, 0.7, 0.9, 1.5, 3.0, 9.0} {
@@ -189,36 +189,126 @@ func TestRegistryReset(t *testing.T) {
 	}
 }
 
-func TestMirrorInstruments(t *testing.T) {
-	r := NewRegistry()
-	mc := r.CounterVec("m.ok").Mirror(r.Counter("m.ok"), L("rule", "r1"))
-	mc.Add(2)
-	mc.Inc()
-	if mc.Value() != 3 || r.CounterVec("m.ok").With(L("rule", "r1")).Value() != 3 {
-		t.Fatalf("mirror counter agg=%d child=%d", mc.Value(), r.CounterVec("m.ok").With(L("rule", "r1")).Value())
+// TestFamilyRollUp: every update to a labelled child lands in its
+// family's aggregate at write time, so the plain-name reader sees the
+// exact total, and Reset zeroes both.
+func TestFamilyRollUp(t *testing.T) {
+	la, lb := L("rule", "a"), L("rule", "b")
+	cases := []struct {
+		name  string
+		write func(r *Registry)
+		check func(t *testing.T, r *Registry)
+		zero  func(r *Registry) bool
+	}{
+		{
+			name: "counter",
+			write: func(r *Registry) {
+				v := r.CounterVec("m.ok")
+				v.With(la).Add(2)
+				v.With(la).Inc()
+				v.With(lb).Add(4)
+			},
+			check: func(t *testing.T, r *Registry) {
+				v := r.CounterVec("m.ok")
+				if a, b, agg := v.With(la).Value(), v.With(lb).Value(), r.Counter("m.ok").Value(); a != 3 || b != 4 || agg != 7 {
+					t.Fatalf("a=%d b=%d agg=%d, want 3 4 7", a, b, agg)
+				}
+			},
+			zero: func(r *Registry) bool {
+				v := r.CounterVec("m.ok")
+				return v.With(la).Value() == 0 && v.With(lb).Value() == 0 && r.Counter("m.ok").Value() == 0
+			},
+		},
+		{
+			name: "gauge",
+			write: func(r *Registry) {
+				v := r.GaugeVec("m.depth")
+				a, b := v.With(la), v.With(lb)
+				a.Set(4)
+				a.Add(-1) // a=3
+				b.Set(-2) // negative level: agg=1
+				b.Set(5)  // moves agg by 5-(-2): agg=8
+				a.SetMax(10)
+				a.SetMax(2) // below the level: no-op; agg=15
+				b.Set(0)    // agg=10, its high-water stays 15
+			},
+			check: func(t *testing.T, r *Registry) {
+				v := r.GaugeVec("m.depth")
+				a, b, agg := v.With(la), v.With(lb), r.Gauge("m.depth")
+				if a.Value() != 10 || b.Value() != 0 || agg.Value() != 10 {
+					t.Fatalf("levels a=%d b=%d agg=%d, want 10 0 10", a.Value(), b.Value(), agg.Value())
+				}
+				if a.Max() != 10 || b.Max() != 5 || agg.Max() != 15 {
+					t.Fatalf("high-water a=%d b=%d agg=%d, want 10 5 15", a.Max(), b.Max(), agg.Max())
+				}
+			},
+			zero: func(r *Registry) bool {
+				v := r.GaugeVec("m.depth")
+				a, b, agg := v.With(la), v.With(lb), r.Gauge("m.depth")
+				return a.Value() == 0 && b.Value() == 0 && agg.Value() == 0 &&
+					a.Max() == 0 && b.Max() == 0 && agg.Max() == 0
+			},
+		},
+		{
+			name: "histogram",
+			write: func(r *Registry) {
+				v := r.HistogramVecBuckets("m.lag", []float64{1, 10})
+				v.With(la).Observe(0.5)
+				v.With(la).Observe(4)
+				v.With(lb).Observe(20)
+				// A retained trace's exemplar reaches child and aggregate.
+				tr := NewTracer(nil)
+				tr.Enable()
+				root := tr.StartTrace("t1", "task")
+				root.Exemplar(v.With(lb), 20, lb)
+				root.End()
+			},
+			check: func(t *testing.T, r *Registry) {
+				v := r.HistogramVec("m.lag")
+				a, b, agg := v.With(la), v.With(lb), r.Histogram("m.lag")
+				if a.Count() != 2 || b.Count() != 1 || agg.Count() != 3 {
+					t.Fatalf("counts a=%d b=%d agg=%d, want 2 1 3", a.Count(), b.Count(), agg.Count())
+				}
+				if agg.Sum() != 24.5 || agg.Min() != 0.5 || agg.Max() != 20 {
+					t.Fatalf("agg sum=%v min=%v max=%v, want 24.5 0.5 20", agg.Sum(), agg.Min(), agg.Max())
+				}
+				if bounds, _ := agg.BucketCounts(); len(bounds) != 2 || bounds[1] != 10 {
+					t.Fatalf("aggregate bounds %v, want the family's [1 10]", bounds)
+				}
+				if q := agg.Quantile(0.5); q <= 1 || q > 10 {
+					t.Fatalf("agg p50 = %v, want inside the (1,10] bucket", q)
+				}
+				if agg.Quantile(1) != 20 || a.Quantile(1) != 4 {
+					t.Fatalf("p100 agg=%v a=%v, want 20 4", agg.Quantile(1), a.Quantile(1))
+				}
+				ce, ae := b.WorstExemplar(), agg.WorstExemplar()
+				if ce == nil || ce.TraceID != "t1" || len(ce.Labels) != 0 {
+					t.Fatalf("child exemplar %+v, want bare t1", ce)
+				}
+				if ae == nil || ae.TraceID != "t1" || len(ae.Labels) != 1 || ae.Labels[0] != lb {
+					t.Fatalf("aggregate exemplar %+v, want t1 labelled %v", ae, lb)
+				}
+			},
+			zero: func(r *Registry) bool {
+				v := r.HistogramVec("m.lag")
+				a, b, agg := v.With(la), v.With(lb), r.Histogram("m.lag")
+				return a.Count() == 0 && b.Count() == 0 && agg.Count() == 0 &&
+					b.WorstExemplar() == nil && agg.WorstExemplar() == nil
+			},
+		},
 	}
-	mg := r.GaugeVec("m.depth").Mirror(r.Gauge("m.depth"), L("rule", "r1"))
-	mg.Set(4)
-	mg.Add(-1)
-	if mg.Value() != 3 || r.GaugeVec("m.depth").With(L("rule", "r1")).Value() != 3 {
-		t.Fatal("mirror gauge diverged")
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			r := NewRegistry()
+			tc.write(r)
+			tc.check(t, r)
+			r.Reset()
+			if !tc.zero(r) {
+				t.Fatal("Reset left state on a child or the aggregate")
+			}
+		})
 	}
-	if r.GaugeVec("m.depth").With(L("rule", "r1")).Max() != 4 {
-		t.Fatal("mirror gauge child high-water missed")
-	}
-	mh := r.HistogramVec("m.lag").Mirror(r.Histogram("m.lag"), L("rule", "r1"))
-	mh.Observe(1.5)
-	if r.Histogram("m.lag").Count() != 1 || r.HistogramVec("m.lag").With(L("rule", "r1")).Count() != 1 {
-		t.Fatal("mirror histogram diverged")
-	}
-	// Zero values must no-op without panicking.
-	var zc MirrorCounter
-	var zg MirrorGauge
-	var zh MirrorHistogram
-	zc.Inc()
-	zg.Set(1)
-	zh.Observe(1)
-	// Nil vecs hand out nil children that no-op too.
+	// Nil vecs hand out nil children that no-op.
 	var nv *CounterVec
-	nv.With(L("a", "b")).Inc()
+	nv.With(la).Inc()
 }

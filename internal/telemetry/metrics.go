@@ -10,15 +10,18 @@ import (
 )
 
 // Counter is a monotonically increasing counter. The zero value is ready
-// to use; a nil *Counter no-ops.
+// to use; a nil *Counter no-ops. A labelled family child (CounterVec.With)
+// rolls every Add up into its family's aggregate.
 type Counter struct {
-	v atomic.Int64
+	v   atomic.Int64
+	agg *Counter // family aggregate; nil on the aggregate itself
 }
 
 // Add increments the counter by n.
 func (c *Counter) Add(n int64) {
 	if c != nil {
 		c.v.Add(n)
+		c.agg.Add(n)
 	}
 }
 
@@ -40,9 +43,14 @@ func (c *Counter) Value() int64 {
 // not a count, and levels such as clock skew or budget headroom can be
 // negative. The high-water mark (Max) only ever rises and starts at
 // zero, so a gauge that never goes positive reports Max() == 0.
+//
+// A labelled family child (GaugeVec.With) moves its family's aggregate by
+// the same delta on every update — Set(n) by n minus the old level — so
+// the aggregate is the sum of its children, with its own high-water mark.
 type Gauge struct {
-	v  atomic.Int64
-	hw atomic.Int64 // monotonic high-water mark of v, floored at 0
+	v   atomic.Int64
+	hw  atomic.Int64 // monotonic high-water mark of v, floored at 0
+	agg *Gauge       // family aggregate; nil on the aggregate itself
 }
 
 func (g *Gauge) raiseHW(n int64) {
@@ -57,8 +65,9 @@ func (g *Gauge) raiseHW(n int64) {
 // Set stores n (negative values included; see the type comment).
 func (g *Gauge) Set(n int64) {
 	if g != nil {
-		g.v.Store(n)
+		old := g.v.Swap(n)
 		g.raiseHW(n)
+		g.agg.Add(n - old)
 	}
 }
 
@@ -66,6 +75,7 @@ func (g *Gauge) Set(n int64) {
 func (g *Gauge) Add(delta int64) {
 	if g != nil {
 		g.raiseHW(g.v.Add(delta))
+		g.agg.Add(delta)
 	}
 }
 
@@ -78,7 +88,11 @@ func (g *Gauge) SetMax(n int64) {
 	g.raiseHW(n)
 	for {
 		cur := g.v.Load()
-		if n <= cur || g.v.CompareAndSwap(cur, n) {
+		if n <= cur {
+			return
+		}
+		if g.v.CompareAndSwap(cur, n) {
+			g.agg.Add(n - cur)
 			return
 		}
 	}
@@ -155,8 +169,10 @@ func DefaultLatencyBuckets() []float64 {
 // Bucket i counts observations in (bounds[i-1], bounds[i]]; an implicit
 // overflow bucket catches values above the last bound. The zero value is
 // not usable; create one with NewHistogram or Registry.Histogram. A nil
-// *Histogram no-ops.
+// *Histogram no-ops. A labelled family child (HistogramVec.With) shares
+// its family aggregate's bounds and records every observation in both.
 type Histogram struct {
+	agg    *Histogram // family aggregate; nil on the aggregate itself
 	bounds []float64
 	counts []atomic.Int64 // len(bounds)+1, last is overflow
 	count  atomic.Int64
@@ -194,8 +210,15 @@ func NewHistogram(bounds []float64) *Histogram {
 	if len(bounds) == 0 {
 		bounds = DefaultLatencyBuckets()
 	}
+	return newHistogram(append([]float64(nil), bounds...), nil)
+}
+
+// newHistogram builds a histogram over bounds (not copied: a family's
+// children share their aggregate's slice).
+func newHistogram(bounds []float64, agg *Histogram) *Histogram {
 	h := &Histogram{
-		bounds:    append([]float64(nil), bounds...),
+		agg:       agg,
+		bounds:    bounds,
 		counts:    make([]atomic.Int64, len(bounds)+1),
 		exemplars: make([]atomic.Pointer[Exemplar], len(bounds)+1),
 	}
@@ -220,12 +243,18 @@ func (h *Histogram) reset() {
 
 // setExemplar records a retained-trace exemplar in v's bucket, replacing
 // any previous one (last retained wins, which keeps output deterministic
-// given the tracer's deterministic flush order).
+// given the tracer's deterministic flush order). On a family child the
+// exemplar lands on the child bare — its own labels already identify it —
+// and on the aggregate with labels naming the child.
 func (h *Histogram) setExemplar(v float64, traceID string, labels []Label) {
 	if h == nil || len(h.exemplars) == 0 {
 		return
 	}
 	idx := sort.SearchFloat64s(h.bounds, v)
+	if h.agg != nil {
+		h.agg.exemplars[idx].Store(&Exemplar{Value: v, TraceID: traceID, Labels: labels})
+		labels = nil
+	}
 	h.exemplars[idx].Store(&Exemplar{Value: v, TraceID: traceID, Labels: labels})
 }
 
@@ -263,6 +292,14 @@ func (h *Histogram) Observe(v float64) {
 		return
 	}
 	idx := sort.SearchFloat64s(h.bounds, v)
+	h.record(idx, v)
+	if h.agg != nil {
+		h.agg.record(idx, v)
+	}
+}
+
+// record counts v in bucket idx.
+func (h *Histogram) record(idx int, v float64) {
 	h.counts[idx].Add(1)
 	h.count.Add(1)
 	h.sum.add(v)
@@ -375,35 +412,32 @@ func (h *Histogram) Quantile(p float64) float64 {
 	return h.Max()
 }
 
-// Registry is a named collection of counters, gauges and histograms.
-// Lookups get-or-create, so independent packages can share instruments by
-// name. A nil *Registry returns nil instruments, which no-op.
+// Registry is a named collection of counter, gauge and histogram families
+// (see labels.go): one family per (kind, name). Lookups get-or-create, so
+// independent packages can share instruments by name. Counter, Gauge and
+// Histogram return a family's aggregate — the unlabelled instrument every
+// labelled child rolls up into. A nil *Registry returns nil instruments,
+// which no-op.
 type Registry struct {
-	mu          sync.Mutex
-	counters    map[string]*Counter
-	gauges      map[string]*Gauge
-	hists       map[string]*Histogram
-	counterVecs map[string]*CounterVec
-	gaugeVecs   map[string]*GaugeVec
-	histVecs    map[string]*HistogramVec
+	mu       sync.Mutex
+	counters map[string]*CounterVec
+	gauges   map[string]*GaugeVec
+	hists    map[string]*HistogramVec
 }
 
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
 	return &Registry{
-		counters:    make(map[string]*Counter),
-		gauges:      make(map[string]*Gauge),
-		hists:       make(map[string]*Histogram),
-		counterVecs: make(map[string]*CounterVec),
-		gaugeVecs:   make(map[string]*GaugeVec),
-		histVecs:    make(map[string]*HistogramVec),
+		counters: make(map[string]*CounterVec),
+		gauges:   make(map[string]*GaugeVec),
+		hists:    make(map[string]*HistogramVec),
 	}
 }
 
 // Reset zeroes every registered instrument in place — counters, gauges
-// (level and high-water mark), histograms, and every labelled family
-// child — while keeping instrument identities, so pointers held by
-// long-lived services stay valid. Back-to-back experiment runs sharing
+// (level and high-water mark) and histograms, aggregates and labelled
+// children alike — while keeping instrument identities, so pointers held
+// by long-lived services stay valid. Back-to-back experiment runs sharing
 // one process use this for snapshot isolation: without it, level gauges
 // such as engine.dlq.depth or faas.running leak their final value into
 // the next run's report.
@@ -413,90 +447,36 @@ func (r *Registry) Reset() {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	for _, c := range r.counters {
-		c.v.Store(0)
+	for _, f := range r.counters {
+		f.each(func(_ string, c *Counter) { c.v.Store(0) })
 	}
-	for _, g := range r.gauges {
-		g.v.Store(0)
-		g.hw.Store(0)
-	}
-	for _, h := range r.hists {
-		h.reset()
-	}
-	for _, v := range r.counterVecs {
-		v.mu.Lock()
-		for _, c := range v.children {
-			c.v.Store(0)
-		}
-		v.mu.Unlock()
-	}
-	for _, v := range r.gaugeVecs {
-		v.mu.Lock()
-		for _, g := range v.children {
+	for _, f := range r.gauges {
+		f.each(func(_ string, g *Gauge) {
 			g.v.Store(0)
 			g.hw.Store(0)
-		}
-		v.mu.Unlock()
+		})
 	}
-	for _, v := range r.histVecs {
-		v.mu.Lock()
-		for _, h := range v.children {
-			h.reset()
-		}
-		v.mu.Unlock()
+	for _, f := range r.hists {
+		f.each(func(_ string, h *Histogram) { h.reset() })
 	}
 }
 
-// Counter returns the named counter, creating it on first use.
-func (r *Registry) Counter(name string) *Counter {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	c, ok := r.counters[name]
-	if !ok {
-		c = &Counter{}
-		r.counters[name] = c
-	}
-	return c
-}
+// Counter returns the named counter (its family's aggregate), creating it
+// on first use.
+func (r *Registry) Counter(name string) *Counter { return r.CounterVec(name).With() }
 
-// Gauge returns the named gauge, creating it on first use.
-func (r *Registry) Gauge(name string) *Gauge {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	g, ok := r.gauges[name]
-	if !ok {
-		g = &Gauge{}
-		r.gauges[name] = g
-	}
-	return g
-}
+// Gauge returns the named gauge (its family's aggregate), creating it on
+// first use.
+func (r *Registry) Gauge(name string) *Gauge { return r.GaugeVec(name).With() }
 
-// Histogram returns the named histogram with the default latency buckets,
-// creating it on first use.
-func (r *Registry) Histogram(name string) *Histogram {
-	return r.HistogramBuckets(name, nil)
-}
+// Histogram returns the named histogram (its family's aggregate) with the
+// default latency buckets, creating it on first use.
+func (r *Registry) Histogram(name string) *Histogram { return r.HistogramVec(name).With() }
 
 // HistogramBuckets is Histogram with explicit bucket bounds (applied only
 // on first creation).
 func (r *Registry) HistogramBuckets(name string, bounds []float64) *Histogram {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	h, ok := r.hists[name]
-	if !ok {
-		h = NewHistogram(bounds)
-		r.hists[name] = h
-	}
-	return h
+	return r.HistogramVecBuckets(name, bounds).With()
 }
 
 // WriteText dumps every non-empty instrument as sorted plain text:
@@ -511,55 +491,28 @@ func (r *Registry) WriteText(w io.Writer) error {
 	}
 	type line struct{ key, text string }
 	var lines []line
-	addCounter := func(name, labels string, c *Counter) {
-		if v := c.Value(); v != 0 {
+	addInt := func(name, labels string, v int64) {
+		if v != 0 {
 			lines = append(lines, line{name + labels, fmt.Sprintf("%s%s %d\n", name, labels, v)})
 		}
-	}
-	addGauge := func(name, labels string, g *Gauge) {
-		if v := g.Value(); v != 0 {
-			lines = append(lines, line{name + labels, fmt.Sprintf("%s%s %d\n", name, labels, v)})
-		}
-	}
-	addHist := func(name, labels string, h *Histogram) {
-		if h.Count() == 0 {
-			return
-		}
-		lines = append(lines, line{name + labels, fmt.Sprintf(
-			"%s%s count=%d sum=%.6f min=%.6f max=%.6f p50=%.6f p95=%.6f p99=%.6f\n",
-			name, labels, h.Count(), h.Sum(), h.Min(), h.Max(),
-			h.Quantile(0.50), h.Quantile(0.95), h.Quantile(0.99))})
 	}
 	r.mu.Lock()
-	for name, c := range r.counters {
-		addCounter(name, "", c)
+	for name, f := range r.counters {
+		f.each(func(labels string, c *Counter) { addInt(name, labels, c.Value()) })
 	}
-	for name, g := range r.gauges {
-		addGauge(name, "", g)
+	for name, f := range r.gauges {
+		f.each(func(labels string, g *Gauge) { addInt(name, labels, g.Value()) })
 	}
-	for name, h := range r.hists {
-		addHist(name, "", h)
-	}
-	for name, v := range r.counterVecs {
-		v.mu.Lock()
-		for labels, c := range v.children {
-			addCounter(name, labels, c)
-		}
-		v.mu.Unlock()
-	}
-	for name, v := range r.gaugeVecs {
-		v.mu.Lock()
-		for labels, g := range v.children {
-			addGauge(name, labels, g)
-		}
-		v.mu.Unlock()
-	}
-	for name, v := range r.histVecs {
-		v.mu.Lock()
-		for labels, h := range v.children {
-			addHist(name, labels, h)
-		}
-		v.mu.Unlock()
+	for name, f := range r.hists {
+		f.each(func(labels string, h *Histogram) {
+			if h.Count() == 0 {
+				return
+			}
+			lines = append(lines, line{name + labels, fmt.Sprintf(
+				"%s%s count=%d sum=%.6f min=%.6f max=%.6f p50=%.6f p95=%.6f p99=%.6f\n",
+				name, labels, h.Count(), h.Sum(), h.Min(), h.Max(),
+				h.Quantile(0.50), h.Quantile(0.95), h.Quantile(0.99))})
+		})
 	}
 	r.mu.Unlock()
 	sort.Slice(lines, func(i, j int) bool {

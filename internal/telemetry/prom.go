@@ -136,35 +136,14 @@ func (r *Registry) WritePromText(w io.Writer) error {
 		f.rows = append(f.rows, promRow{labels, b.String()})
 	}
 	r.mu.Lock()
-	for name, c := range r.counters {
-		addCounter(name, "", c)
+	for name, f := range r.counters {
+		f.each(func(labels string, c *Counter) { addCounter(name, labels, c) })
 	}
-	for name, g := range r.gauges {
-		addGauge(name, "", g)
+	for name, f := range r.gauges {
+		f.each(func(labels string, g *Gauge) { addGauge(name, labels, g) })
 	}
-	for name, h := range r.hists {
-		addHist(name, "", h)
-	}
-	for name, v := range r.counterVecs {
-		v.mu.Lock()
-		for labels, c := range v.children {
-			addCounter(name, labels, c)
-		}
-		v.mu.Unlock()
-	}
-	for name, v := range r.gaugeVecs {
-		v.mu.Lock()
-		for labels, g := range v.children {
-			addGauge(name, labels, g)
-		}
-		v.mu.Unlock()
-	}
-	for name, v := range r.histVecs {
-		v.mu.Lock()
-		for labels, h := range v.children {
-			addHist(name, labels, h)
-		}
-		v.mu.Unlock()
+	for name, f := range r.hists {
+		f.each(func(labels string, h *Histogram) { addHist(name, labels, h) })
 	}
 	r.mu.Unlock()
 	names := make([]string, 0, len(fams))

@@ -310,8 +310,8 @@ func (t *Tracer) VerdictCounts() map[Verdict]int64 {
 	if t == nil {
 		return nil
 	}
-	t.vmu.Lock()
-	defer t.vmu.Unlock()
+	t.mu.Lock()
+	defer t.mu.Unlock()
 	out := make(map[Verdict]int64, len(t.verdicts))
 	for v, n := range t.verdicts {
 		out[v] = n

@@ -12,10 +12,9 @@
 // Span collection is tail-based: spans accumulate on their trace's tree,
 // and only when the root task span ends does the tracer's RetentionPolicy
 // decide keep-vs-drop over the whole tree (see retention.go). Kept trees
-// land in per-shard buffers — the single collection mutex of the original
-// design is gone — and Spans() merges the shards back into the global end
-// order, so exports stay byte-deterministic. Dropped trees recycle their
-// spans through a free list.
+// land in the tracer's one buffer and Spans() returns them in the global
+// end order, so exports stay byte-deterministic. Dropped trees recycle
+// their spans through a free list.
 //
 // Everything is nil-safe: a nil *Tracer, *Span, *Registry, *Counter,
 // *Gauge or *Histogram accepts every call as a no-op, so instrumentation
@@ -37,34 +36,21 @@ type Attr struct {
 	Value any
 }
 
-// spanShards fixes the shard count for kept-span buffers and live-tree
-// tracking; traces hash onto shards by trace ID.
-const spanShards = 16
-
 // spanFreeListMax caps the recycled-span free list so a burst of dropped
 // trees cannot pin unbounded memory.
 const spanFreeListMax = 4096
 
-// spanShard is one slice of the tracer's collection state: the kept spans
-// of retained trees plus the set of trees still in flight.
-type spanShard struct {
-	mu   sync.Mutex
-	kept []*Span
-	live map[*traceTree]struct{}
-}
-
 // traceTree accumulates one trace's ended spans until the tree quiesces —
 // the root span has ended and no span of the trace is still open — and
-// the retention decision flushes it whole: kept into the shard's buffer
+// the retention decision flushes it whole: kept into the tracer's buffer
 // or dropped into the free list, never half-recorded. Waiting for the
 // last span (not just the root) matters because the faas layer ends an
 // instance's "fn:" span, and stamps its crash attrs, after the handler
 // body (which ends the root via defer) returns.
 type traceTree struct {
-	t     *Tracer
-	gen   uint64 // tracer generation at StartTrace; mismatch at flush = drop
-	shard *spanShard
-	root  *Span
+	t    *Tracer
+	gen  uint64 // tracer generation at StartTrace; mismatch at flush = drop
+	root *Span
 
 	mu        sync.Mutex
 	spans     []*Span // ended spans of this trace, in end order
@@ -87,19 +73,17 @@ type Tracer struct {
 	// what keeps a mid-flight disable from half-recording a trace.
 	gen atomic.Uint64
 	// endSeq stamps every span End with a global sequence number, the
-	// total order Spans() restores after merging the shards.
+	// total order Spans() returns (kept trees land whole, at flush).
 	endSeq atomic.Int64
 
 	policy atomic.Pointer[RetentionPolicy]
 
-	shards [spanShards]spanShard
-
-	freeMu sync.Mutex
-	free   []*Span
-
 	stats tracerCounters
 
-	vmu      sync.Mutex
+	mu       sync.Mutex
+	kept     []*Span                 // spans of retained trees
+	live     map[*traceTree]struct{} // trees still in flight
+	free     []*Span                 // recycled spans of dropped trees
 	verdicts map[Verdict]int64
 }
 
@@ -153,42 +137,27 @@ func (t *Tracer) Reset() {
 		return
 	}
 	t.gen.Add(1)
-	for i := range t.shards {
-		sh := &t.shards[i]
-		sh.mu.Lock()
-		sh.kept = nil
-		sh.live = nil
-		sh.mu.Unlock()
-	}
-	t.stats.reset()
-	t.vmu.Lock()
+	t.mu.Lock()
+	t.kept = nil
+	t.live = nil
 	t.verdicts = make(map[Verdict]int64)
-	t.vmu.Unlock()
-}
-
-// shard maps a trace ID onto its collection shard (FNV-1a).
-func (t *Tracer) shard(traceID string) *spanShard {
-	h := uint32(2166136261)
-	for i := 0; i < len(traceID); i++ {
-		h ^= uint32(traceID[i])
-		h *= 16777619
-	}
-	return &t.shards[h%spanShards]
+	t.mu.Unlock()
+	t.stats.reset()
 }
 
 // newSpan takes a span off the free list (or allocates one), reusing the
 // attr slice and child-counter map capacity of a dropped tree's spans.
 func (t *Tracer) newSpan() *Span {
-	t.freeMu.Lock()
+	t.mu.Lock()
 	n := len(t.free)
 	if n == 0 {
-		t.freeMu.Unlock()
+		t.mu.Unlock()
 		return &Span{}
 	}
 	s := t.free[n-1]
 	t.free[n-1] = nil
 	t.free = t.free[:n-1]
-	t.freeMu.Unlock()
+	t.mu.Unlock()
 	s.t, s.tree = nil, nil
 	s.TraceID, s.Parent, s.Path, s.Name, s.Lane = "", "", "", "", ""
 	s.Start, s.Finish = time.Time{}, time.Time{}
@@ -204,7 +173,7 @@ func (t *Tracer) newSpan() *Span {
 func (t *Tracer) recycle(spans []*Span) {
 	t.stats.spansDropped.Add(int64(len(spans)))
 	recycled := 0
-	t.freeMu.Lock()
+	t.mu.Lock()
 	for _, s := range spans {
 		if len(t.free) >= spanFreeListMax {
 			break
@@ -212,7 +181,7 @@ func (t *Tracer) recycle(spans []*Span) {
 		t.free = append(t.free, s)
 		recycled++
 	}
-	t.freeMu.Unlock()
+	t.mu.Unlock()
 	t.stats.spansRecycled.Add(int64(recycled))
 }
 
@@ -232,19 +201,18 @@ func (t *Tracer) StartTraceAt(traceID, name string, start time.Time) *Span {
 	if t == nil || !t.enabled.Load() {
 		return nil
 	}
-	sh := t.shard(traceID)
-	tree := &traceTree{t: t, gen: t.gen.Load(), shard: sh, open: 1}
+	tree := &traceTree{t: t, gen: t.gen.Load(), open: 1}
 	s := t.newSpan()
 	s.t, s.tree = t, tree
 	s.TraceID, s.Name, s.Path = traceID, name, name
 	s.Start = start
 	tree.root = s
-	sh.mu.Lock()
-	if sh.live == nil {
-		sh.live = make(map[*traceTree]struct{})
+	t.mu.Lock()
+	if t.live == nil {
+		t.live = make(map[*traceTree]struct{})
 	}
-	sh.live[tree] = struct{}{}
-	sh.mu.Unlock()
+	t.live[tree] = struct{}{}
+	t.mu.Unlock()
 	t.stats.treesStarted.Add(1)
 	t.stats.spansStarted.Add(1)
 	return s
@@ -257,27 +225,23 @@ func (t *Tracer) Spans() []*Span {
 		return nil
 	}
 	gen := t.gen.Load()
-	var out []*Span
-	for i := range t.shards {
-		sh := &t.shards[i]
-		sh.mu.Lock()
-		out = append(out, sh.kept...)
-		for tree := range sh.live {
-			if tree.gen != gen {
-				continue // doomed: will drop whole at flush
-			}
-			tree.mu.Lock()
-			out = append(out, tree.spans...)
-			tree.mu.Unlock()
+	t.mu.Lock()
+	out := append([]*Span(nil), t.kept...)
+	for tree := range t.live {
+		if tree.gen != gen {
+			continue // doomed: will drop whole at flush
 		}
-		sh.mu.Unlock()
+		tree.mu.Lock()
+		out = append(out, tree.spans...)
+		tree.mu.Unlock()
 	}
+	t.mu.Unlock()
 	sort.Slice(out, func(i, j int) bool { return out[i].endSeq < out[j].endSeq })
 	return out
 }
 
 // flushTree runs the retention decision when a trace quiesces: the whole
-// tree is either appended to its shard's kept buffer (with the verdict
+// tree is either appended to the kept buffer (with the verdict
 // stamped on the root and the tree's exemplar candidates flushed into
 // their histograms) or recycled through the free list.
 func (t *Tracer) flushTree(tree *traceTree) {
@@ -292,10 +256,9 @@ func (t *Tracer) flushTree(tree *traceTree) {
 	tree.spans, tree.exemplars = nil, nil
 	tree.mu.Unlock()
 
-	sh := tree.shard
-	sh.mu.Lock()
-	delete(sh.live, tree)
-	sh.mu.Unlock()
+	t.mu.Lock()
+	delete(t.live, tree)
+	t.mu.Unlock()
 
 	// A tree whose tracer was disabled or reset mid-flight drops whole —
 	// all-or-nothing, never a partial trace.
@@ -325,15 +288,13 @@ func (t *Tracer) flushTree(tree *traceTree) {
 	for _, s := range spans {
 		bytes += spanBytes(s)
 	}
-	sh.mu.Lock()
-	sh.kept = append(sh.kept, spans...)
-	sh.mu.Unlock()
+	t.mu.Lock()
+	t.kept = append(t.kept, spans...)
+	t.verdicts[verdict]++
+	t.mu.Unlock()
 	t.stats.treesRetained.Add(1)
 	t.stats.spansRetained.Add(int64(len(spans)))
 	t.stats.retainedBytes.Add(bytes)
-	t.vmu.Lock()
-	t.verdicts[verdict]++
-	t.vmu.Unlock()
 	for _, c := range cands {
 		c.hist.setExemplar(c.value, tree.root.TraceID, c.labels)
 	}
@@ -509,10 +470,9 @@ func (s *Span) EndAt(at time.Time) {
 		t.stats.spansLate.Add(1)
 		if kept {
 			s.endSeq = t.endSeq.Add(1)
-			sh := tree.shard
-			sh.mu.Lock()
-			sh.kept = append(sh.kept, s)
-			sh.mu.Unlock()
+			t.mu.Lock()
+			t.kept = append(t.kept, s)
+			t.mu.Unlock()
 			t.stats.spansRetained.Add(1)
 			t.stats.retainedBytes.Add(spanBytes(s))
 		} else {

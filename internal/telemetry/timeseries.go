@@ -52,20 +52,6 @@ func (s Series) Digest() Digest {
 	return d
 }
 
-// Downsample returns at most max evenly-strided samples (always keeping
-// the first of each stride), for compact sparklines in reports.
-func (s Series) Downsample(max int) []Sample {
-	if max <= 0 || len(s.Samples) <= max {
-		return append([]Sample(nil), s.Samples...)
-	}
-	stride := (len(s.Samples) + max - 1) / max
-	out := make([]Sample, 0, max)
-	for i := 0; i < len(s.Samples); i += stride {
-		out = append(out, s.Samples[i])
-	}
-	return out
-}
-
 // Sampler snapshots a set of signals — typically registry counters and
 // gauges — at fixed virtual intervals, producing deterministic series on
 // the simulated clock.
@@ -116,11 +102,6 @@ func (s *Sampler) Track(name string, read func() float64) {
 	s.mu.Lock()
 	s.sources = append(s.sources, &tsSource{name: name, read: read, vals: make([]float64, s.next)})
 	s.mu.Unlock()
-}
-
-// TrackCounter tracks a counter's running value.
-func (s *Sampler) TrackCounter(name string, c *Counter) {
-	s.Track(name, func() float64 { return float64(c.Value()) })
 }
 
 // TrackGauge tracks a gauge's current level.

@@ -46,8 +46,7 @@ func TestSamplerBackfill(t *testing.T) {
 func TestSamplerLateRegistrationPadsZero(t *testing.T) {
 	now := time.Unix(0, 0)
 	s := NewSampler(func() time.Time { return now }, time.Second)
-	c := &Counter{}
-	s.TrackCounter("early", c)
+	s.TrackGauge("early", &Gauge{})
 	s.Poll()
 	now = now.Add(time.Second)
 	s.Poll() // two samples recorded
@@ -110,31 +109,5 @@ func TestSeriesDigest(t *testing.T) {
 	empty := Series{Name: "e", IntervalSeconds: 1}.Digest()
 	if empty.Count != 0 || empty.Min != 0 || empty.Max != 0 || empty.Mean != 0 || empty.Last != 0 {
 		t.Errorf("empty digest not zero: %+v", empty)
-	}
-}
-
-func TestSeriesDownsample(t *testing.T) {
-	ser := Series{Name: "g", IntervalSeconds: 1}
-	for i := 0; i < 10; i++ {
-		ser.Samples = append(ser.Samples, Sample{float64(i), float64(i)})
-	}
-	got := ser.Downsample(4)
-	if len(got) > 4 {
-		t.Fatalf("downsample returned %d > 4 samples", len(got))
-	}
-	if got[0] != ser.Samples[0] {
-		t.Errorf("downsample dropped the first sample: %+v", got[0])
-	}
-	if all := ser.Downsample(100); len(all) != 10 {
-		t.Errorf("downsample with room returned %d samples, want all 10", len(all))
-	}
-	// Must be a copy, not an alias.
-	all := ser.Downsample(0)
-	if len(all) != 10 {
-		t.Fatalf("downsample(0) returned %d samples", len(all))
-	}
-	all[0].Value = 99
-	if ser.Samples[0].Value == 99 {
-		t.Errorf("downsample aliases the backing array")
 	}
 }
