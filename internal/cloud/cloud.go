@@ -43,10 +43,15 @@ type Region struct {
 	Name      string
 	Continent Continent
 	Lat, Lon  float64 // datacenter location, degrees
+
+	id RegionID // set by the registry, so ID costs no concatenation per call
 }
 
 // ID returns the region's unique identifier.
 func (r Region) ID() RegionID {
+	if r.id != "" {
+		return r.id
+	}
 	return RegionID(string(r.Provider) + ":" + r.Name)
 }
 
@@ -57,25 +62,26 @@ func (r Region) String() string { return string(r.ID()) }
 var regions = func() map[RegionID]Region {
 	list := []Region{
 		// AWS
-		{AWS, "us-east-1", NorthAmerica, 38.9, -77.4},    // N. Virginia
-		{AWS, "us-east-2", NorthAmerica, 40.0, -83.0},    // Ohio
-		{AWS, "ca-central-1", NorthAmerica, 45.5, -73.6}, // Montreal
-		{AWS, "eu-west-1", Europe, 53.3, -6.3},           // Ireland
-		{AWS, "ap-northeast-1", Asia, 35.6, 139.7},       // Tokyo
+		{Provider: AWS, Name: "us-east-1", Continent: NorthAmerica, Lat: 38.9, Lon: -77.4},    // N. Virginia
+		{Provider: AWS, Name: "us-east-2", Continent: NorthAmerica, Lat: 40.0, Lon: -83.0},    // Ohio
+		{Provider: AWS, Name: "ca-central-1", Continent: NorthAmerica, Lat: 45.5, Lon: -73.6}, // Montreal
+		{Provider: AWS, Name: "eu-west-1", Continent: Europe, Lat: 53.3, Lon: -6.3},           // Ireland
+		{Provider: AWS, Name: "ap-northeast-1", Continent: Asia, Lat: 35.6, Lon: 139.7},       // Tokyo
 		// Azure
-		{Azure, "eastus", NorthAmerica, 37.4, -79.8},   // Virginia
-		{Azure, "westus2", NorthAmerica, 47.2, -119.8}, // Washington
-		{Azure, "uksouth", Europe, 51.5, -0.1},         // London
-		{Azure, "southeastasia", Asia, 1.35, 103.8},    // Singapore
+		{Provider: Azure, Name: "eastus", Continent: NorthAmerica, Lat: 37.4, Lon: -79.8},   // Virginia
+		{Provider: Azure, Name: "westus2", Continent: NorthAmerica, Lat: 47.2, Lon: -119.8}, // Washington
+		{Provider: Azure, Name: "uksouth", Continent: Europe, Lat: 51.5, Lon: -0.1},         // London
+		{Provider: Azure, Name: "southeastasia", Continent: Asia, Lat: 1.35, Lon: 103.8},    // Singapore
 		// GCP
-		{GCP, "us-east1", NorthAmerica, 33.8, -81.0},  // South Carolina
-		{GCP, "us-west1", NorthAmerica, 45.6, -121.2}, // Oregon
-		{GCP, "europe-west6", Europe, 47.4, 8.5},      // Zurich
-		{GCP, "asia-northeast1", Asia, 35.7, 139.7},   // Tokyo
+		{Provider: GCP, Name: "us-east1", Continent: NorthAmerica, Lat: 33.8, Lon: -81.0},  // South Carolina
+		{Provider: GCP, Name: "us-west1", Continent: NorthAmerica, Lat: 45.6, Lon: -121.2}, // Oregon
+		{Provider: GCP, Name: "europe-west6", Continent: Europe, Lat: 47.4, Lon: 8.5},      // Zurich
+		{Provider: GCP, Name: "asia-northeast1", Continent: Asia, Lat: 35.7, Lon: 139.7},   // Tokyo
 	}
 	m := make(map[RegionID]Region, len(list))
 	for _, r := range list {
-		m[r.ID()] = r
+		r.id = r.ID()
+		m[r.id] = r
 	}
 	return m
 }()

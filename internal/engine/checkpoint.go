@@ -34,7 +34,10 @@ const (
 )
 
 // leaseAttr names the lease attribute of one part claim.
-func leaseAttr(idx int64) string { return "lease-" + strconv.FormatInt(idx, 10) }
+func leaseAttr(idx int64) string {
+	var buf [len("lease-") + 20]byte
+	return string(strconv.AppendInt(append(buf[:0], "lease-"...), idx, 10))
+}
 
 // encodeIdxs renders a part-index list as a flat attribute value.
 func encodeIdxs(idxs []int64) string {
@@ -120,7 +123,7 @@ func (p *pool) claim(b int64, owner string, now time.Time) (idxs []int64, remain
 		}
 		cur["next"] = next
 		cur["reclaimed"] = encodeIdxs(free)
-		lease := kvstore.Lease{Owner: owner, Epoch: p.epoch, Expires: now.Add(poolLease)}.Encode()
+		var lease any = kvstore.Lease{Owner: owner, Epoch: p.epoch, Expires: now.Add(poolLease)}.Encode()
 		for _, idx := range idxs {
 			cur[leaseAttr(idx)] = lease
 		}
@@ -146,19 +149,25 @@ func (p *pool) flush(idxs []int64) (done int64, closed, fenced bool) {
 			fenced = true
 			return cur, true
 		}
-		bitmap := []byte(cur.Str("bitmap"))
+		bitmap := cur.Str("bitmap")
 		prev := cur.Int("done")
-		var n int64
+		var flipped []byte // the bitmap's next value, once a bit flips
 		for _, idx := range idxs {
-			if idx >= 0 && idx < int64(len(bitmap)) && bitmap[idx] == '0' {
-				bitmap[idx] = '1'
-				n++
-				delete(cur, leaseAttr(idx))
+			if idx < 0 || idx >= int64(len(bitmap)) || bitmap[idx] != '0' || (flipped != nil && flipped[idx] != '0') {
+				continue
 			}
+			if flipped == nil {
+				flipped = []byte(bitmap)
+			}
+			flipped[idx] = '1'
+			done++
+			delete(cur, leaseAttr(idx))
 		}
-		done = prev + n
-		cur["done"] = done
-		cur["bitmap"] = string(bitmap)
+		done += prev
+		if flipped != nil {
+			cur["done"] = done
+			cur["bitmap"] = string(flipped)
+		}
 		closed = done >= cur.Int("total") && prev < cur.Int("total")
 		return cur, true
 	})

@@ -11,6 +11,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -691,6 +692,16 @@ func (e *Engine) recoverPending(ev objstore.Event) {
 	e.dispatch(ev, "lock-recovery")
 }
 
+// indexedChild opens the child span "<prefix><idx>" carrying a bytes
+// attribute. With tracing off (nil parent) it builds neither the name nor
+// the boxed attribute: both were allocations per part made for nobody.
+func indexedChild(parent *telemetry.Span, prefix string, idx, bytes int64) *telemetry.Span {
+	if parent == nil {
+		return nil
+	}
+	return parent.Child(prefix+strconv.FormatInt(idx, 10)).Set("bytes", bytes)
+}
+
 // request runs one cloud API call under retry.RequestDefault — the quick,
 // tightly-bounded retries of a real SDK. Only
 // ErrUnavailable-class transient faults are retried; anything else
@@ -1031,7 +1042,7 @@ func (e *Engine) transferWhole(ctx *faas.Ctx, sp *telemetry.Span, key, dstETag s
 			return execResult{reason: "instance crashed mid-transfer"}
 		}
 		n := min(e.Rule.PartSize, obj.Size-off)
-		csp := sp.Child(fmt.Sprintf("chunk-%d", i)).Set("bytes", n)
+		csp := indexedChild(sp, "chunk-", int64(i), n)
 		e.W.MoveBytesSpan(csp, "leg-down", src.Region, ctx.Region, ctx.Region.Provider, n, downScale, rng)
 		e.W.MoveBytesSpan(csp, "leg-up", ctx.Region, dst.Region, ctx.Region.Provider, n, upScale, rng)
 		csp.End()
@@ -1489,7 +1500,7 @@ func (e *Engine) replicator(ctx *faas.Ctx, ds *distState, p *pool, src, dst, loc
 	fetch := func(fctx *faas.Ctx, rng *rand.Rand, idx int64, hedged bool) *fetched {
 		off := idx * ds.partSize
 		length := min(ds.partSize, ds.size-off)
-		psp := ctx.Span.Child(fmt.Sprintf("part-%d", idx)).Set("bytes", length)
+		psp := indexedChild(ctx.Span, "part-", idx, length)
 		legDown := "leg-down"
 		gsp := psp.Child("get-range")
 		if hedged {
@@ -1608,7 +1619,9 @@ func (e *Engine) replicator(ctx *faas.Ctx, ds *distState, p *pool, src, dst, loc
 		// The part upload is durable in the MPU, but its bitmap bit is not
 		// set: a crash in this window redoes exactly this part (the resumed
 		// attempt reclaims the claim and re-uploads idempotently).
-		e.maybeCrash(ctx, fmt.Sprintf("after-part-%d", f.idx))
+		if e.W.Chaos.Profile().CrashPoint != "" { // the label is built only for an armed crash point
+			e.maybeCrash(ctx, "after-part-"+strconv.FormatInt(f.idx, 10))
+		}
 		if !ctx.Alive() {
 			f.psp.Set("crashed", true)
 			f.psp.End()

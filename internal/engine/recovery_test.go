@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -112,6 +113,34 @@ func TestPoolReapExpiredLeases(t *testing.T) {
 				t.Fatalf("reap returned live-leased part %d to the pool", idx)
 			}
 		}
+	}
+}
+
+// TestPoolClaimFlushAllocsIndependentOfOutstandingLeases: a claim+flush
+// round touches four parts, so it must allocate the same with 64 owners
+// holding four leases each on the record as with none.
+func TestPoolClaimFlushAllocsIndependentOfOutstandingLeases(t *testing.T) {
+	const owners, batch = 64, 4
+	round := func(outstanding int) float64 {
+		w, kv := poolKV(t)
+		p := newPool(kv, "task-a", int64(outstanding+101*batch))
+		p.create("etag-a")
+		for o := 0; o < outstanding/batch; o++ {
+			p.claim(batch, "inst-"+strconv.Itoa(o), w.Clock.Now())
+		}
+		return testing.AllocsPerRun(100, func() {
+			idxs, _, _ := p.claim(batch, "inst-x", w.Clock.Now())
+			if _, _, fenced := p.flush(idxs); fenced || len(idxs) != batch {
+				t.Fatalf("round claimed %v (fenced %v)", idxs, fenced)
+			}
+		})
+	}
+	bare, loaded := round(0), round(owners*batch)
+	if loaded > bare+1 { // the longer bitmap may cross a size class, not grow with leases
+		t.Errorf("claim+flush allocates %v with %d outstanding leases, %v with none", loaded, owners*batch, bare)
+	}
+	if loaded > 24 {
+		t.Errorf("claim+flush of %d parts allocates %v", batch, loaded)
 	}
 }
 

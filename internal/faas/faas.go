@@ -99,6 +99,32 @@ type Instance struct {
 	BwMult float64
 
 	idleSince time.Time
+
+	// pathFactors memoises netsim.PathInstanceFactor per remote provider:
+	// a pure function of (instance, exec provider, remote provider), asked
+	// for on every transfer leg.
+	pathMu      sync.Mutex
+	pathFactors []pathFactor
+}
+
+type pathFactor struct {
+	remote cloud.Provider
+	factor float64
+}
+
+// pathFactor returns the instance's persistent bandwidth factor for legs
+// between exec (the instance's own provider) and remote.
+func (in *Instance) pathFactor(exec, remote cloud.Provider) float64 {
+	in.pathMu.Lock()
+	defer in.pathMu.Unlock()
+	for _, pf := range in.pathFactors {
+		if pf.remote == remote {
+			return pf.factor
+		}
+	}
+	f := netsim.PathInstanceFactor(in.ID, exec, remote)
+	in.pathFactors = append(in.pathFactors, pathFactor{remote, f})
+	return f
 }
 
 // Ctx is the execution context handed to a function handler.
@@ -149,7 +175,7 @@ func (c *Ctx) BandwidthScale() float64 {
 // BandwidthScaleFor is BandwidthScale with the per-instance path factor
 // toward a remote provider folded in; use it for a specific transfer leg.
 func (c *Ctx) BandwidthScaleFor(remote cloud.Provider) float64 {
-	return c.BandwidthScale() * netsim.PathInstanceFactor(c.Instance.ID, c.Region.Provider, remote)
+	return c.BandwidthScale() * c.Instance.pathFactor(c.Region.Provider, remote)
 }
 
 // Platform is one region's function service.

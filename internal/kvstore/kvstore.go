@@ -3,6 +3,15 @@
 // key-value store with conditional writes, atomic read-modify-write
 // updates and counters, single-digit-millisecond operation latency on the
 // virtual clock, and per-operation metering at the provider's list price.
+//
+// Reads and whole-item writes (Get, Put, PutWithTTL, ConditionalPut) copy
+// the item across the store's boundary. Read-modify-write (Update,
+// UpdateTTL, Increment) does not: the closure runs on the stored item in
+// place, under the store's lock, and the store owns whatever it returns.
+// A pool record carries one lease attribute per outstanding claim, and an
+// update must cost what it touches, not the size of the record — the
+// closure's side of the bargain is to take only scalars out of the item
+// and to keep no reference to it after returning.
 package kvstore
 
 import (
@@ -24,8 +33,9 @@ import (
 var ErrConditionFailed = errors.New("kvstore: condition failed")
 
 // Item is one record: a flat attribute map. Values should be comparable
-// scalars (string, int64, float64, bool). Items are copied on read and
-// write, so callers can mutate their copies freely.
+// scalars (string, int64, float64, bool). Get, Put and ConditionalPut copy
+// the item, so callers can mutate what they hold freely; Update does not
+// (see the package comment).
 type Item map[string]any
 
 // clone returns a shallow copy of the item.
@@ -286,46 +296,42 @@ func (s *Store) PutIfAbsent(table, key string, item Item) error {
 	return s.ConditionalPut(table, key, item, func(_ Item, exists bool) bool { return !exists })
 }
 
-// Update applies fn atomically to the current item. fn receives a copy of
-// the current item (nil if absent) and the existence flag, and returns the
-// new item and whether to keep it (false deletes the key). Update returns
-// the stored item. Any existing TTL is preserved.
-func (s *Store) Update(table, key string, fn func(cur Item, exists bool) (Item, bool)) Item {
-	return s.UpdateWithTTL(table, key, 0, fn)
-}
-
-// UpdateWithTTL is Update that additionally refreshes the item's lease
-// when ttl > 0 (ttl == 0 preserves any existing expiry). Lock tables use
-// it so a crashed holder's lock expires instead of wedging the key.
-func (s *Store) UpdateWithTTL(table, key string, ttl time.Duration, fn func(cur Item, exists bool) (Item, bool)) Item {
-	return s.UpdateTTL(table, key, func(cur Item, exists bool) (Item, bool, time.Duration) {
-		next, keep := fn(cur, exists)
-		return next, keep, ttl
-	})
-}
-
-// UpdateTTL is Update where fn also decides the lease of the stored item:
-// a returned ttl > 0 (re)installs the expiry, 0 preserves whatever expiry
+// UpdateTTL is the store's one read-modify-write primitive. fn runs under
+// the store's lock on the stored item itself (nil if absent) — no copy in,
+// no copy out — so an update costs what fn touches, not the size of the
+// record. fn may mutate cur in place and return it, or return a fresh
+// item; either way the store takes ownership of what fn returns, and fn
+// must not retain cur or the returned item past the call. keep == false
+// deletes the key. fn also decides the lease of the stored item: a
+// returned ttl > 0 (re)installs the expiry, 0 preserves whatever expiry
 // exists. Lock acquisition needs this — only the call that actually takes
 // the lock may refresh its lease; a contender recording itself as pending
 // must not keep a crashed holder's lock alive.
-func (s *Store) UpdateTTL(table, key string, fn func(cur Item, exists bool) (Item, bool, time.Duration)) Item {
+func (s *Store) UpdateTTL(table, key string, fn func(cur Item, exists bool) (Item, bool, time.Duration)) {
 	s.simulateOp(true)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.reapLocked(table, key)
-	cur, exists := s.table(table)[key]
-	next, keep, ttl := fn(cur.clone(), exists)
+	t := s.table(table)
+	cur, exists := t[key]
+	next, keep, ttl := fn(cur, exists)
 	if !keep {
-		delete(s.table(table), key)
+		delete(t, key)
 		s.setTTLLocked(table, key, 0)
-		return nil
+		return
 	}
-	s.table(table)[key] = next.clone()
+	t[key] = next
 	if ttl > 0 {
 		s.setTTLLocked(table, key, ttl)
 	}
-	return next.clone()
+}
+
+// Update is UpdateTTL for updates that leave the item's expiry alone.
+func (s *Store) Update(table, key string, fn func(cur Item, exists bool) (Item, bool)) {
+	s.UpdateTTL(table, key, func(cur Item, exists bool) (Item, bool, time.Duration) {
+		next, keep := fn(cur, exists)
+		return next, keep, 0
+	})
 }
 
 // Increment atomically adds delta to an integer attribute (creating the

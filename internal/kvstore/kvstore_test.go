@@ -2,6 +2,7 @@ package kvstore
 
 import (
 	"errors"
+	"strconv"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -86,18 +87,115 @@ func TestPutIfAbsent(t *testing.T) {
 
 func TestUpdateAndDeleteViaUpdate(t *testing.T) {
 	_, s, _ := newStore()
-	got := s.Update("t", "k", func(cur Item, exists bool) (Item, bool) {
-		if exists {
+	s.Update("t", "k", func(cur Item, exists bool) (Item, bool) {
+		if exists || cur != nil {
 			t.Error("item should not exist yet")
 		}
 		return Item{"v": int64(10)}, true
 	})
-	if got.Int("v") != 10 {
-		t.Fatalf("update returned %v", got)
+	if got, _ := s.Get("t", "k"); got.Int("v") != 10 {
+		t.Fatalf("update stored %v", got)
 	}
 	s.Update("t", "k", func(cur Item, exists bool) (Item, bool) { return nil, false })
 	if _, ok := s.Get("t", "k"); ok {
 		t.Fatal("update-delete left the item")
+	}
+}
+
+// TestUpdateInPlace pins the read-modify-write contract: the closure's
+// mutations of cur are the stored item, and copies handed out by Get
+// before or after stay isolated from them.
+func TestUpdateInPlace(t *testing.T) {
+	_, s, _ := newStore()
+	s.Put("t", "k", Item{"v": int64(1), "keep": "x"})
+	before, _ := s.Get("t", "k")
+	s.Update("t", "k", func(cur Item, exists bool) (Item, bool) {
+		cur["v"] = cur.Int("v") + 1
+		delete(cur, "keep")
+		return cur, true
+	})
+	if before.Int("v") != 1 || before.Str("keep") != "x" {
+		t.Fatalf("an in-place update reached a copy Get had handed out: %v", before)
+	}
+	after, _ := s.Get("t", "k")
+	if after.Int("v") != 2 || len(after) != 1 {
+		t.Fatalf("stored item after in-place update: %v", after)
+	}
+	after["v"] = int64(99)
+	s.Update("t", "k", func(cur Item, exists bool) (Item, bool) {
+		if cur.Int("v") != 2 {
+			t.Errorf("Update sees %v: a caller's copy shares memory with the store", cur)
+		}
+		return cur, true
+	})
+}
+
+// TestUpdateAllocsIndependentOfRecordSize guards the point of the in-place
+// primitive: updating one attribute of a record with 512 others (a pool
+// record with that many outstanding leases) allocates no more than
+// updating a record with none.
+func TestUpdateAllocsIndependentOfRecordSize(t *testing.T) {
+	_, s, _ := newStore()
+	putRecord(s, "big", 512)
+	putRecord(s, "small", 0)
+	small := testing.AllocsPerRun(100, func() { bump(s, "small") })
+	large := testing.AllocsPerRun(100, func() { bump(s, "big") })
+	if large > small || large > 4 {
+		t.Errorf("Update allocates %v times on a 512-attribute record, %v on a 1-attribute one", large, small)
+	}
+}
+
+// putRecord stores a counter record carrying the given number of lease
+// attributes; bump increments the counter through Update.
+func putRecord(s *Store, key string, leases int) {
+	it := Item{"n": int64(0)}
+	for i := 0; i < leases; i++ {
+		it["lease-"+strconv.Itoa(i)] = "owner|1|0"
+	}
+	s.Put("t", key, it)
+}
+
+func bump(s *Store, key string) {
+	s.Update("t", key, func(cur Item, _ bool) (Item, bool) {
+		cur["n"] = cur.Int("n") + 1
+		return cur, true
+	})
+}
+
+func BenchmarkUpdate512Attrs(b *testing.B) {
+	_, s, _ := newStore()
+	putRecord(s, "big", 512)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		bump(s, "big")
+	}
+}
+
+func TestUpdateTTL(t *testing.T) {
+	clk, s, _ := newStore()
+	take := func(ttl time.Duration) {
+		s.UpdateTTL("t", "k", func(cur Item, _ bool) (Item, bool, time.Duration) {
+			if cur == nil {
+				cur = Item{}
+			}
+			cur["n"] = cur.Int("n") + 1
+			return cur, true, ttl
+		})
+	}
+	take(10 * time.Second)
+	clk.Sleep(8 * time.Second)
+	take(0) // must not extend the lease
+	clk.Sleep(3 * time.Second)
+	if _, ok := s.Get("t", "k"); ok {
+		t.Fatal("a ttl = 0 update kept an expiring item alive")
+	}
+	take(10 * time.Second)
+	clk.Sleep(8 * time.Second)
+	take(10 * time.Second) // refreshes it
+	clk.Sleep(8 * time.Second)
+	if it, ok := s.Get("t", "k"); !ok || it.Int("n") != 2 {
+		t.Fatalf("a ttl > 0 update did not refresh the lease: %v, %v", it, ok)
 	}
 }
 

@@ -1,7 +1,6 @@
 package kvstore
 
 import (
-	"fmt"
 	"strconv"
 	"strings"
 	"time"
@@ -26,7 +25,13 @@ func (l Lease) Expired(now time.Time) bool {
 
 // Encode renders the lease as a flat "owner|epoch|expiresUnixNano" string.
 func (l Lease) Encode() string {
-	return fmt.Sprintf("%s|%d|%d", l.Owner, l.Epoch, l.Expires.UnixNano())
+	b := make([]byte, 0, len(l.Owner)+42) // two separators and two int64s of at most 20 bytes
+	b = append(b, l.Owner...)
+	b = append(b, '|')
+	b = strconv.AppendInt(b, l.Epoch, 10)
+	b = append(b, '|')
+	b = strconv.AppendInt(b, l.Expires.UnixNano(), 10)
+	return string(b)
 }
 
 // ParseLease decodes an Encode'd lease. A missing or malformed value

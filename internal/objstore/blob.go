@@ -45,17 +45,20 @@ func (b Blob) IsLiteral() bool { return b.Literal != nil }
 // ETag returns the platform content hash of the blob, in the quoted form
 // object stores use.
 func (b Blob) ETag() string {
-	h := sha256.New()
+	var sum [sha256.Size]byte
 	if b.IsLiteral() {
-		h.Write(b.Literal)
+		sum = sha256.Sum256(b.Literal)
 	} else {
 		var buf [24]byte
 		binary.BigEndian.PutUint64(buf[0:], b.Seed)
 		binary.BigEndian.PutUint64(buf[8:], uint64(b.Off))
 		binary.BigEndian.PutUint64(buf[16:], uint64(b.Size))
-		h.Write(buf[:])
+		sum = sha256.Sum256(buf[:])
 	}
-	return `"` + hex.EncodeToString(h.Sum(nil))[:32] + `"`
+	var tag [34]byte // 32 hex digits between quotes
+	tag[0], tag[33] = '"', '"'
+	hex.Encode(tag[1:33], sum[:16])
+	return string(tag[:])
 }
 
 // Slice returns the sub-blob [off, off+length). It panics if the range

@@ -142,8 +142,8 @@ func (w *World) MoveBytesSpan(parent *telemetry.Span, name string, from, to clou
 		mbps = 0.5
 	}
 	sp := parent.Child(name)
-	stall, netScale := w.Chaos.Net(string(from.ID()), string(to.ID()),
-		string(from.Provider), string(to.Provider))
+	fromID, toID := from.ID(), to.ID()
+	stall, netScale := w.Chaos.Net(string(fromID), string(toID), string(from.Provider), string(to.Provider))
 	if stall > 0 {
 		// An active inter-region partition: the transfer makes no progress
 		// until the window lifts (TCP stalls rather than erroring out).
@@ -161,12 +161,14 @@ func (w *World) MoveBytesSpan(parent *telemetry.Span, name string, from, to clou
 	}
 	d := netsim.TransferTime(bytes, mbps)
 	w.Clock.Sleep(d)
-	sp.Set("from", string(from.ID())).Set("to", string(to.ID())).
-		Set("bytes", bytes).Set("mbps", mbps)
-	sp.End()
+	if sp != nil { // boxing the attributes costs allocations even when Set drops them
+		sp.Set("from", string(fromID)).Set("to", string(toID)).
+			Set("bytes", bytes).Set("mbps", mbps)
+		sp.End()
+	}
 	w.Metrics.Histogram("net.leg.seconds").Observe(simclock.ToSeconds(d))
 	w.Metrics.Counter("net.leg.bytes").Add(bytes)
-	if from.ID() != to.ID() {
+	if fromID != toID {
 		w.Meter.Add("net:egress", pricing.EgressCost(from, to, bytes))
 	}
 	return d

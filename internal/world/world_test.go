@@ -57,6 +57,31 @@ func TestMoveBytesSleepsAndMetersEgress(t *testing.T) {
 	}
 }
 
+// TestMoveBytesNilSpanAllocs: with tracing off a leg builds no region-ID
+// strings and boxes no span attributes; what remains is the virtual
+// clock's timer.
+func TestMoveBytesNilSpanAllocs(t *testing.T) {
+	w := New()
+	src := cloud.MustLookup("aws:us-east-1")
+	dst := cloud.MustLookup("gcp:europe-west6")
+	rng := simrand.New("world-test-allocs")
+	if n := testing.AllocsPerRun(200, func() { w.MoveBytes(src, dst, cloud.AWS, 8<<20, 1, rng) }); n > 2 {
+		t.Errorf("MoveBytes with a nil span allocates %v objects a leg, want <= 2", n)
+	}
+}
+
+func BenchmarkMoveBytes(b *testing.B) {
+	w := New()
+	src := cloud.MustLookup("aws:us-east-1")
+	dst := cloud.MustLookup("gcp:europe-west6")
+	rng := simrand.New("world-bench")
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		w.MoveBytes(src, dst, cloud.AWS, 8<<20, 1, rng)
+	}
+}
+
 func TestMoveBytesIntraRegionFree(t *testing.T) {
 	w := New()
 	r := cloud.MustLookup("gcp:us-east1")
