@@ -12,7 +12,6 @@ package areplica_test
 // attainment/tail figures.
 
 import (
-	"math/rand"
 	"testing"
 
 	"repro/internal/cloud"
@@ -234,24 +233,6 @@ func BenchmarkPartSizeAblation(b *testing.B) {
 	var res *experiments.PartSizeResult
 	benchOnce(b, func() { res = experiments.RunPartSizeAblation(true) })
 	b.ReportMetric(res.Rows[len(res.Rows)-1].MeanS/res.Rows[1].MeanS, "x-big-part-penalty")
-}
-
-// BenchmarkGumbelVsMonteCarlo measures the planner-facing speedup of the
-// extreme-value shortcut the paper uses for large n (§5.3).
-func BenchmarkGumbelVsMonteCarlo(b *testing.B) {
-	base := stats.N(10, 2)
-	b.Run("monte-carlo-n256", func(b *testing.B) {
-		rng := rand.New(rand.NewSource(1))
-		for i := 0; i < b.N; i++ {
-			e := stats.MonteCarloMax(rng, 256, 1500, func(r *rand.Rand, _ int) float64 { return base.Sample(r) })
-			_ = e.Quantile(0.99)
-		}
-	})
-	b.Run("gumbel-n256", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			_ = stats.MaxOfNormals(base, 256).Quantile(0.99)
-		}
-	})
 }
 
 func BenchmarkOverlayRelayAblation(b *testing.B) {

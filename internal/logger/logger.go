@@ -1,8 +1,8 @@
 // Package logger implements AReplica's runtime logger (§4): it tracks the
 // replication time of completed tasks against the performance model's
 // predictions and, when a significant deviation persists, refreshes the
-// model's path parameters (triggering Monte-Carlo resampling on demand)
-// so the model stays accurate as inter-region transfer rates drift.
+// model's path parameters, which the next prediction reads, so the model
+// stays accurate as inter-region transfer rates drift.
 package logger
 
 import (
@@ -126,8 +126,7 @@ func (lg *Logger) Observe(res engine.TaskResult) {
 }
 
 // refresh scales the path's transfer parameters by the observed ratio —
-// the "periodically updates the parameters" loop of §4 — and invalidates
-// the cached Monte-Carlo distributions so they are regenerated on demand.
+// the "periodically updates the parameters" loop of §4.
 func (lg *Logger) refresh(loc cloud.RegionID, ratio float64) {
 	key := model.PathKey{Src: lg.Src, Dst: lg.Dst, Loc: loc}
 	pp, ok := lg.M.Path(key)
@@ -137,6 +136,5 @@ func (lg *Logger) refresh(loc cloud.RegionID, ratio float64) {
 	pp.C = pp.C.Scale(ratio)
 	pp.Cp = pp.Cp.Scale(ratio)
 	pp.S = pp.S.Scale(ratio)
-	lg.M.SetPath(key, pp) // also drops this path's MC cache
-	lg.M.InvalidatePath(lg.Src, lg.Dst)
+	lg.M.SetPath(key, pp)
 }

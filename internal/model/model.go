@@ -17,20 +17,19 @@
 //	T_transfer = max_{1..n} ( S + C'·ceil(size/(c·n)) )
 //
 // All parameters are Normal distributions fitted by the profiler. Sums of
-// Normals stay Normal; the max over n instances is estimated by Monte
-// Carlo for moderate n and by the Gumbel extreme-value approximation for
-// large n, with Monte Carlo results cached per (path, n, chunks) — the
-// paper's on-demand resampling.
+// Normals stay Normal, and the n replicators are i.i.d., so the max over
+// them is the exact order statistic stats.MaxNormal — one closed form for
+// every n, where the paper resamples by Monte Carlo and switches to a
+// Gumbel approximation for large n. A prediction reads the current
+// parameters every time: nothing derived from them is cached.
 package model
 
 import (
 	"fmt"
 	"math"
-	"math/rand"
 	"sync"
 
 	"repro/internal/cloud"
-	"repro/internal/simrand"
 	"repro/internal/stats"
 )
 
@@ -126,36 +125,19 @@ type PathKey struct {
 type Model struct {
 	Chunk int64 // part size c
 
-	// MCRounds is the Monte-Carlo sample count; GumbelMinN is the
-	// parallelism at which the Gumbel approximation replaces Monte Carlo.
-	MCRounds   int
-	GumbelMinN int
-
-	mu      sync.Mutex
-	loc     map[cloud.RegionID]LocParams
-	path    map[PathKey]PathParams
-	notify  map[cloud.RegionID]stats.Normal
-	mcCache map[mcKey]*stats.Empirical
-}
-
-type mcKey struct {
-	path      PathKey
-	n         int
-	chunks    int64
-	chunk     int64 // part size the prediction was evaluated at (0 = model default)
-	pipelined bool
+	mu     sync.Mutex
+	loc    map[cloud.RegionID]LocParams
+	path   map[PathKey]PathParams
+	notify map[cloud.RegionID]stats.Normal
 }
 
 // New returns an empty model with the default chunk size.
 func New() *Model {
 	return &Model{
-		Chunk:      DefaultChunk,
-		MCRounds:   1500,
-		GumbelMinN: 128,
-		loc:        make(map[cloud.RegionID]LocParams),
-		path:       make(map[PathKey]PathParams),
-		notify:     make(map[cloud.RegionID]stats.Normal),
-		mcCache:    make(map[mcKey]*stats.Empirical),
+		Chunk:  DefaultChunk,
+		loc:    make(map[cloud.RegionID]LocParams),
+		path:   make(map[PathKey]PathParams),
+		notify: make(map[cloud.RegionID]stats.Normal),
 	}
 }
 
@@ -174,17 +156,12 @@ func (m *Model) Loc(loc cloud.RegionID) (LocParams, bool) {
 	return p, ok
 }
 
-// SetPath installs the transfer parameters of a path and invalidates any
-// cached Monte-Carlo distributions that used the old values.
+// SetPath installs the transfer parameters of a path; the next prediction
+// over it uses them.
 func (m *Model) SetPath(k PathKey, p PathParams) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.path[k] = p
-	for ck := range m.mcCache {
-		if ck.path == k {
-			delete(m.mcCache, ck)
-		}
-	}
 }
 
 // Path returns the transfer parameters of a path.
@@ -220,24 +197,36 @@ func chunksOf(size, chunk int64) int64 {
 	return (size + chunk - 1) / chunk
 }
 
-// sumDist combines two independent positive components. Its Quantile is
-// the sum of the components' quantiles — an upper bound, which the paper
-// explicitly permits ("the model is allowed to overestimate").
-type sumDist struct {
-	a, b stats.Dist
+// Dist is the model's prediction, a distribution over replication
+// seconds: everything paid once (T_func, and for a single function the
+// transfer too) plus the max over the n replicators' transfer times. The
+// two are independent, so Mean and Std are exact; Quantile is the sum of
+// the components' quantiles — an upper bound, which the paper explicitly
+// permits ("the model is allowed to overestimate").
+type Dist struct {
+	once     stats.Normal
+	transfer stats.MaxNormal // N == 0 for single-function plans
 }
 
-func (s sumDist) Mean() float64 { return s.a.Mean() + s.b.Mean() }
-func (s sumDist) Std() float64  { return math.Hypot(s.a.Std(), s.b.Std()) }
-func (s sumDist) Quantile(p float64) float64 {
-	return s.a.Quantile(p) + s.b.Quantile(p)
+func (d Dist) Mean() float64 {
+	if d.transfer.N == 0 {
+		return d.once.Mu
+	}
+	return d.once.Mu + d.transfer.Mean()
 }
 
-// Dist is the model's prediction: a distribution over replication seconds.
-type Dist interface {
-	Mean() float64
-	Std() float64
-	Quantile(p float64) float64
+func (d Dist) Std() float64 {
+	if d.transfer.N == 0 {
+		return d.once.Sigma
+	}
+	return math.Hypot(d.once.Sigma, d.transfer.Std())
+}
+
+func (d Dist) Quantile(p float64) float64 {
+	if d.transfer.N == 0 {
+		return d.once.Quantile(p)
+	}
+	return d.once.Quantile(p) + d.transfer.Quantile(p)
 }
 
 // Opts select the data-plane variant a prediction is evaluated for.
@@ -264,16 +253,16 @@ func (m *Model) ReplTime(src, dst, loc cloud.RegionID, size int64, n int, local 
 // ReplTimeOpts is ReplTime for a specific data-plane configuration.
 func (m *Model) ReplTimeOpts(src, dst, loc cloud.RegionID, size int64, n int, local bool, o Opts) (Dist, error) {
 	if n < 1 {
-		return nil, fmt.Errorf("model: parallelism %d < 1", n)
+		return Dist{}, fmt.Errorf("model: parallelism %d < 1", n)
 	}
 	lp, ok := m.Loc(loc)
 	if !ok {
-		return nil, fmt.Errorf("model: region %s not profiled", loc)
+		return Dist{}, fmt.Errorf("model: region %s not profiled", loc)
 	}
 	pk := PathKey{Src: src, Dst: dst, Loc: loc}
 	pp, ok := m.Path(pk)
 	if !ok {
-		return nil, fmt.Errorf("model: path %v not profiled", pk)
+		return Dist{}, fmt.Errorf("model: path %v not profiled", pk)
 	}
 	chunk := o.Chunk
 	if chunk <= 0 {
@@ -288,15 +277,16 @@ func (m *Model) ReplTimeOpts(src, dst, loc cloud.RegionID, size int64, n int, lo
 	if n == 1 {
 		transfer := pp.S.Plus(pp.C.Scale(f).OverK(float64(chunks)))
 		if local {
-			return transfer, nil
+			return Dist{once: transfer}, nil
 		}
-		return stats.SumNormals(lp.I, lp.D, transfer), nil
+		return Dist{once: stats.SumNormals(lp.I, lp.D, transfer)}, nil
 	}
 
-	tfunc := stats.SumNormals(lp.I.Scale(float64(n)), lp.D, lp.P)
 	perInst := (chunks + int64(n) - 1) / int64(n)
-	ttransfer := m.maxTransfer(pk, pp, n, perInst, chunk, f, o.Pipelined)
-	return sumDist{a: tfunc, b: ttransfer}, nil
+	return Dist{
+		once:     stats.SumNormals(lp.I.Scale(float64(n)), lp.D, lp.P),
+		transfer: stats.MaxNormal{Base: perInstTransfer(pp, perInst, f, o.Pipelined), N: n},
+	}, nil
 }
 
 // perInstTransfer is one instance's transfer-time distribution for
@@ -313,44 +303,4 @@ func perInstTransfer(pp PathParams, perInst int64, f float64, pipelined bool) st
 		return stats.SumNormals(pp.S, other.OverK(1), dominant.OverK(float64(perInst)))
 	}
 	return pp.S.Plus(pp.Cp.Scale(f).OverK(float64(perInst)))
-}
-
-// maxTransfer returns the distribution of max over n instances of the
-// per-instance transfer time, via cached Monte Carlo or the Gumbel
-// approximation.
-func (m *Model) maxTransfer(pk PathKey, pp PathParams, n int, perInst, chunk int64, f float64, pipelined bool) stats.Dist {
-	base := perInstTransfer(pp, perInst, f, pipelined)
-	if n >= m.GumbelMinN {
-		return stats.MaxOfNormals(base, n)
-	}
-	key := mcKey{path: pk, n: n, chunks: perInst, chunk: chunk, pipelined: pipelined}
-	m.mu.Lock()
-	if e, ok := m.mcCache[key]; ok {
-		m.mu.Unlock()
-		return e
-	}
-	rounds := m.MCRounds
-	m.mu.Unlock()
-
-	rng := simrand.New("model-mc", string(pk.Src), string(pk.Dst), string(pk.Loc), fmt.Sprint(n, perInst, chunk, pipelined))
-	e := stats.MonteCarloMax(rng, n, rounds, func(r *rand.Rand, i int) float64 {
-		return base.Sample(r)
-	})
-	m.mu.Lock()
-	m.mcCache[key] = e
-	m.mu.Unlock()
-	return e
-}
-
-// InvalidatePath drops cached Monte-Carlo results for every path touching
-// the given source/destination pair (the logger calls this after refitting
-// parameters).
-func (m *Model) InvalidatePath(src, dst cloud.RegionID) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	for ck := range m.mcCache {
-		if ck.path.Src == src && ck.path.Dst == dst {
-			delete(m.mcCache, ck)
-		}
-	}
 }

@@ -1,9 +1,13 @@
 package model
 
 import (
+	"fmt"
+	"math"
+	"math/rand"
 	"testing"
 
 	"repro/internal/cloud"
+	"repro/internal/simrand"
 	"repro/internal/stats"
 )
 
@@ -115,8 +119,8 @@ func TestDiminishingReturnsFromInvocationCost(t *testing.T) {
 }
 
 func TestParallelQuantileIsConservative(t *testing.T) {
-	// sumDist quantile (sum of component quantiles) must be >= the
-	// quantile of a proper convolution, i.e. an overestimate.
+	// The quantile (sum of component quantiles) must be >= the quantile
+	// of a proper convolution, i.e. an overestimate.
 	m := fitted()
 	d, _ := m.ReplTime(src, dst, src, 1<<30, 32, false)
 	if d.Quantile(0.99) < d.Mean() {
@@ -127,50 +131,156 @@ func TestParallelQuantileIsConservative(t *testing.T) {
 	}
 }
 
-func TestGumbelKicksInForLargeN(t *testing.T) {
-	m := fitted()
-	m.GumbelMinN = 64
-	// Same inputs, n just below and at the Gumbel threshold: results must
-	// be close (the approximation is validated in stats tests).
-	below, _ := m.ReplTime(src, dst, src, 4<<30, 63, false)
-	at, _ := m.ReplTime(src, dst, src, 4<<30, 64, false)
-	if ratio := at.Quantile(0.9) / below.Quantile(0.9); ratio < 0.7 || ratio > 1.4 {
-		t.Errorf("Gumbel/MC discontinuity: %v vs %v", at.Quantile(0.9), below.Quantile(0.9))
+// monteCarloMax is the test's oracle: the distribution of the max of n
+// draws of base, by brute force. The model used to predict this way.
+func monteCarloMax(rng *rand.Rand, base stats.Normal, n, rounds int) *stats.Empirical {
+	samples := make([]float64, rounds)
+	for r := range samples {
+		maxV := math.Inf(-1)
+		for i := 0; i < n; i++ {
+			maxV = math.Max(maxV, base.Sample(rng))
+		}
+		samples[r] = maxV
 	}
+	return stats.NewEmpirical(samples)
 }
 
-func TestMonteCarloCaching(t *testing.T) {
+// bareTransfer is fitted() with a free, instant T_func, so a distributed
+// prediction is the max over n per-instance transfers and nothing else.
+// Every replicator gets perInst chunks whatever n is.
+func bareTransfer(t *testing.T, n int, perInst int64) (Dist, stats.Normal) {
+	t.Helper()
 	m := fitted()
-	d1, _ := m.ReplTime(src, dst, src, 1<<30, 32, false)
-	d2, _ := m.ReplTime(src, dst, src, 1<<30, 32, false)
-	if d1.Quantile(0.9) != d2.Quantile(0.9) {
-		t.Error("cached MC result should be identical")
+	m.SetLoc(src, LocParams{})
+	d, err := m.ReplTime(src, dst, src, int64(n)*perInst*DefaultChunk, n, false)
+	if err != nil {
+		t.Fatal(err)
 	}
-	m.mu.Lock()
-	cached := len(m.mcCache)
-	m.mu.Unlock()
-	if cached != 1 {
-		t.Errorf("cache has %d entries, want 1", cached)
-	}
-	// SetPath invalidates.
 	pp, _ := m.Path(PathKey{src, dst, src})
-	m.SetPath(PathKey{src, dst, src}, pp)
-	m.mu.Lock()
-	cached = len(m.mcCache)
-	m.mu.Unlock()
-	if cached != 0 {
-		t.Error("SetPath should drop cached MC results")
+	return d, perInstTransfer(pp, perInst, 1, false)
+}
+
+// TestMaxOfNMatchesMonteCarlo: the closed form and a 200 k-round
+// simulation of the same max agree to within the simulation's own
+// sampling error, at every parallelism the planner sweeps.
+func TestMaxOfNMatchesMonteCarlo(t *testing.T) {
+	rounds := 200_000
+	if testing.Short() {
+		rounds = 20_000
+	}
+	const tol = 5 // standard errors; the seed is fixed, so this cannot flake
+	rng := simrand.New("model-test-mc")
+	for n := 2; n <= 512; n *= 2 {
+		d, base := bareTransfer(t, n, 4)
+		mc := monteCarloMax(rng, base, n, rounds)
+		r := float64(rounds)
+		check := func(what string, got, want, se float64) {
+			if math.Abs(got-want) > tol*se {
+				t.Errorf("n=%d %s: closed form %v, Monte Carlo %v (±%v)", n, what, got, want, se)
+			}
+		}
+		check("mean", d.Mean(), mc.Mean(), mc.Std()/math.Sqrt(r))
+		// The max is right-skewed (kurtosis up to Gumbel's 5.4), so the
+		// sample std's error is about 1.1·std/sqrt(R), not std/sqrt(2R).
+		check("std", d.Std(), mc.Std(), 1.1*mc.Std()/math.Sqrt(r))
+		for _, p := range []float64{0.5, 0.9, 0.99} {
+			// se of a sample quantile: sqrt(p(1-p)/R) over the density
+			// there, and the max's density is n·f(x)·F(x)^(n-1).
+			x := d.Quantile(p)
+			z := (x - base.Mu) / base.Sigma
+			density := float64(n) * math.Exp(-z*z/2) / (base.Sigma * math.Sqrt(2*math.Pi)) * math.Pow(base.CDF(x), float64(n-1))
+			check(fmt.Sprintf("p%g", 100*p), x, mc.Quantile(p), math.Sqrt(p*(1-p)/r)/density)
+		}
 	}
 }
 
-func TestInvalidatePath(t *testing.T) {
+// TestMaxOfNMonotoneInN: with the same work per replicator, waiting for
+// more replicators can only take longer.
+func TestMaxOfNMonotoneInN(t *testing.T) {
+	var prev Dist
+	for n := 2; n <= 1024; n *= 2 {
+		d, _ := bareTransfer(t, n, 4)
+		if n > 2 {
+			for _, p := range []float64{0.1, 0.5, 0.99} {
+				if d.Quantile(p) <= prev.Quantile(p) {
+					t.Errorf("p=%v: max over %d = %v, over %d = %v", p, n, d.Quantile(p), n/2, prev.Quantile(p))
+				}
+			}
+			if d.Mean() <= prev.Mean() {
+				t.Errorf("mean of max over %d = %v, over %d = %v", n, d.Mean(), n/2, prev.Mean())
+			}
+			if d.Std() >= prev.Std() {
+				t.Errorf("std of max over %d = %v did not narrow from %v", n, d.Std(), prev.Std())
+			}
+		}
+		prev = d
+	}
+}
+
+// TestSingleFunctionIsThePlainNormal: n = 1 has no max in it. The
+// prediction is the Normal sum of its terms bit for bit, which is what
+// keeps every single-function plan where it was.
+func TestSingleFunctionIsThePlainNormal(t *testing.T) {
 	m := fitted()
-	m.ReplTime(src, dst, src, 1<<30, 32, false)
-	m.InvalidatePath(src, dst)
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if len(m.mcCache) != 0 {
-		t.Error("InvalidatePath left cache entries")
+	lp, _ := m.Loc(src)
+	pp, _ := m.Path(PathKey{src, dst, src})
+	transfer := pp.S.Plus(pp.C.OverK(3))
+	for _, c := range []struct {
+		local bool
+		want  stats.Normal
+	}{{true, transfer}, {false, stats.SumNormals(lp.I, lp.D, transfer)}} {
+		d, err := m.ReplTime(src, dst, src, 3*DefaultChunk, 1, c.local)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if d.Mean() != c.want.Mu || d.Std() != c.want.Sigma || d.Quantile(0.99) != c.want.Quantile(0.99) {
+			t.Errorf("local=%v: got (%v, %v, p99 %v), want %v", c.local, d.Mean(), d.Std(), d.Quantile(0.99), c.want)
+		}
+	}
+	if one := (stats.MaxNormal{Base: transfer, N: 1}); one.Mean() != transfer.Mu || one.Std() != transfer.Sigma || one.Quantile(0.9) != transfer.Quantile(0.9) {
+		t.Errorf("the max of one draw is not the draw: %v vs %v", one, transfer)
+	}
+}
+
+// TestSetPathChangesTheNextPrediction: there is nothing to invalidate —
+// a refreshed parameter is simply what the next prediction reads.
+func TestSetPathChangesTheNextPrediction(t *testing.T) {
+	m := fitted()
+	key := PathKey{src, dst, src}
+	before, _ := m.ReplTime(src, dst, src, 1<<30, 32, false)
+	again, _ := m.ReplTime(src, dst, src, 1<<30, 32, false)
+	if before != again {
+		t.Errorf("the same question got two answers: %v then %v", before, again)
+	}
+	pp, _ := m.Path(key)
+	pp.Cp = pp.Cp.Scale(2)
+	m.SetPath(key, pp)
+	after, _ := m.ReplTime(src, dst, src, 1<<30, 32, false)
+	// 4 chunks a replicator: doubling C' adds 4·0.13 s to each one's mean.
+	if gain := after.Quantile(0.9) - before.Quantile(0.9); gain < 0.5 {
+		t.Errorf("doubling C' moved p90 by %v s: %v -> %v", gain, before.Quantile(0.9), after.Quantile(0.9))
+	}
+	if other, _ := m.ReplTime(src, dst, dst, 1<<30, 32, false); other.Mean() <= 0 || other == after {
+		t.Errorf("the destination-side path answered %v", other)
+	}
+}
+
+// BenchmarkReplTimeDistributed times one distributed prediction with its
+// quantile and moments, as the planner's sweep asks for them: sizes never
+// repeat, so nothing keyed on the size could help.
+func BenchmarkReplTimeDistributed(b *testing.B) {
+	m := fitted()
+	b.ReportAllocs()
+	var sink float64
+	for i := 0; i < b.N; i++ {
+		d, err := m.ReplTimeOpts(src, dst, src, 1<<30+int64(i), 64, false, Opts{Chunk: 16 << 20})
+		if err != nil {
+			b.Fatal(err)
+		}
+		sink += d.Quantile(0.99) + d.Mean() + d.Std()
+	}
+	if sink == 0 {
+		b.Fatal("no prediction")
 	}
 }
 

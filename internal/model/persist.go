@@ -100,8 +100,7 @@ func (m *Model) Export(w io.Writer) error {
 }
 
 // Import merges parameters exported by Export into the model, validating
-// region identifiers. Existing entries for the same keys are replaced and
-// affected Monte-Carlo caches dropped.
+// region identifiers. Existing entries for the same keys are replaced.
 func (m *Model) Import(r io.Reader) error {
 	var pm persistedModel
 	if err := json.NewDecoder(r).Decode(&pm); err != nil {

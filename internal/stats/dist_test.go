@@ -127,57 +127,46 @@ func TestNormalSampleMatchesMoments(t *testing.T) {
 	}
 }
 
-func TestGumbelQuantileMoments(t *testing.T) {
-	g := Gumbel{Mu: 1, Beta: 2}
-	// Median = mu - beta*ln(ln 2)
-	if got, want := g.Quantile(0.5), 1-2*math.Log(math.Log(2)); !almostEqual(got, want, 1e-9) {
-		t.Errorf("median = %v, want %v", got, want)
-	}
-	if got, want := g.Mean(), 1+2*eulerGamma; !almostEqual(got, want, 1e-9) {
-		t.Errorf("mean = %v, want %v", got, want)
-	}
-	if got, want := g.Std(), 2*math.Pi/math.Sqrt(6); !almostEqual(got, want, 1e-9) {
-		t.Errorf("std = %v, want %v", got, want)
-	}
-}
-
-func TestGumbelSampleMatchesQuantiles(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	g := Gumbel{Mu: 5, Beta: 1.5}
-	samples := make([]float64, 50000)
-	for i := range samples {
-		samples[i] = g.Sample(rng)
-	}
-	emp := NewEmpirical(samples)
-	for _, p := range []float64{0.1, 0.5, 0.9, 0.99} {
-		if got, want := emp.Quantile(p), g.Quantile(p); !almostEqual(got, want, 0.15) {
-			t.Errorf("p=%v: empirical %v vs analytic %v", p, got, want)
+// TestMaxNormalKnownMoments checks the quadrature against the order
+// statistics of the standard normal that have closed forms.
+func TestMaxNormalKnownMoments(t *testing.T) {
+	sqrtPi := math.Sqrt(math.Pi)
+	asin3 := math.Asin(1.0 / 3)
+	for _, c := range []struct {
+		n          int
+		mean, vari float64 // vari < 0: no closed form checked
+	}{
+		{2, 1 / sqrtPi, 1 - 1/math.Pi},
+		{3, 3 / (2 * sqrtPi), 1 + math.Sqrt(3)/(2*math.Pi) - 9/(4*math.Pi)},
+		{4, 3 / (2 * sqrtPi) * (1 + 2/math.Pi*asin3), -1},
+		{5, 5 / (4 * sqrtPi) * (1 + 6/math.Pi*asin3), -1},
+	} {
+		m := MaxNormal{Base: N(0, 1), N: c.n}
+		if !almostEqual(m.Mean(), c.mean, 1e-12) {
+			t.Errorf("E[M_%d] = %.15f, want %.15f", c.n, m.Mean(), c.mean)
+		}
+		if c.vari >= 0 && !almostEqual(m.Std()*m.Std(), c.vari, 1e-12) {
+			t.Errorf("Var[M_%d] = %.15f, want %.15f", c.n, m.Std()*m.Std(), c.vari)
 		}
 	}
-}
-
-// TestGumbelApproximatesMaxOfNormals is the correctness check behind the
-// paper's large-n shortcut: for n=256 instances, the Gumbel approximation's
-// high quantiles must track a brute-force Monte-Carlo max of Normals.
-func TestGumbelApproximatesMaxOfNormals(t *testing.T) {
-	base := N(10, 2)
-	const n = 256
-	rng := rand.New(rand.NewSource(4))
-	mc := MonteCarloMax(rng, n, 4000, func(r *rand.Rand, i int) float64 { return base.Sample(r) })
-	g := MaxOfNormals(base, n)
-	for _, p := range []float64{0.5, 0.9, 0.99} {
-		got, want := g.Quantile(p), mc.Quantile(p)
-		if math.Abs(got-want) > 0.5 { // within a quarter sigma
-			t.Errorf("p=%v: gumbel %v vs monte-carlo %v", p, got, want)
-		}
+	// Location and scale pass straight through.
+	m, std := MaxNormal{Base: N(10, 2), N: 64}, MaxNormal{Base: N(0, 1), N: 64}
+	if !almostEqual(m.Mean(), 10+2*std.Mean(), 1e-12) || !almostEqual(m.Std(), 2*std.Std(), 1e-12) {
+		t.Errorf("max of 64 N(10,2): mean %v std %v, standard %v %v", m.Mean(), m.Std(), std.Mean(), std.Std())
 	}
 }
 
-func TestMaxOfNormalsDegenerateN1(t *testing.T) {
+// TestMaxNormalQuantileInvertsCDF: all n draws fall below the p-quantile
+// with probability exactly p.
+func TestMaxNormalQuantileInvertsCDF(t *testing.T) {
 	base := N(10, 2)
-	g := MaxOfNormals(base, 1)
-	if !almostEqual(g.Mean(), 10, 1e-9) || !almostEqual(g.Std(), 2, 1e-9) {
-		t.Errorf("n=1 max should match base moments, got mean %v std %v", g.Mean(), g.Std())
+	for _, n := range []int{1, 2, 7, 64, 512, 4096} {
+		for _, p := range []float64{0.001, 0.1, 0.5, 0.9, 0.99, 0.9999} {
+			x := MaxNormal{Base: base, N: n}.Quantile(p)
+			if got := math.Pow(base.CDF(x), float64(n)); !almostEqual(got, p, 1e-7) {
+				t.Errorf("n=%d: P(max <= Quantile(%v)) = %v", n, p, got)
+			}
+		}
 	}
 }
 
@@ -215,19 +204,6 @@ func TestEmpiricalSingleSample(t *testing.T) {
 	e := NewEmpirical([]float64{7})
 	if e.Quantile(0.3) != 7 || e.Mean() != 7 || e.Std() != 0 {
 		t.Error("single-sample empirical should be constant")
-	}
-}
-
-func TestMonteCarloMaxIncreasesWithN(t *testing.T) {
-	base := N(1, 0.3)
-	rng := rand.New(rand.NewSource(6))
-	prev := math.Inf(-1)
-	for _, n := range []int{1, 4, 16, 64} {
-		e := MonteCarloMax(rng, n, 2000, func(r *rand.Rand, i int) float64 { return base.Sample(r) })
-		if e.Mean() <= prev {
-			t.Errorf("mean of max over %d did not increase: %v <= %v", n, e.Mean(), prev)
-		}
-		prev = e.Mean()
 	}
 }
 
