@@ -104,27 +104,7 @@ type Instance struct {
 	// a pure function of (instance, exec provider, remote provider), asked
 	// for on every transfer leg.
 	pathMu      sync.Mutex
-	pathFactors []pathFactor
-}
-
-type pathFactor struct {
-	remote cloud.Provider
-	factor float64
-}
-
-// pathFactor returns the instance's persistent bandwidth factor for legs
-// between exec (the instance's own provider) and remote.
-func (in *Instance) pathFactor(exec, remote cloud.Provider) float64 {
-	in.pathMu.Lock()
-	defer in.pathMu.Unlock()
-	for _, pf := range in.pathFactors {
-		if pf.remote == remote {
-			return pf.factor
-		}
-	}
-	f := netsim.PathInstanceFactor(in.ID, exec, remote)
-	in.pathFactors = append(in.pathFactors, pathFactor{remote, f})
-	return f
+	pathFactors map[cloud.Provider]float64
 }
 
 // Ctx is the execution context handed to a function handler.
@@ -175,7 +155,18 @@ func (c *Ctx) BandwidthScale() float64 {
 // BandwidthScaleFor is BandwidthScale with the per-instance path factor
 // toward a remote provider folded in; use it for a specific transfer leg.
 func (c *Ctx) BandwidthScaleFor(remote cloud.Provider) float64 {
-	return c.BandwidthScale() * c.Instance.pathFactor(c.Region.Provider, remote)
+	in := c.Instance
+	in.pathMu.Lock()
+	f, ok := in.pathFactors[remote]
+	if !ok {
+		if in.pathFactors == nil {
+			in.pathFactors = make(map[cloud.Provider]float64, 2)
+		}
+		f = netsim.PathInstanceFactor(in.ID, c.Region.Provider, remote)
+		in.pathFactors[remote] = f
+	}
+	in.pathMu.Unlock()
+	return c.BandwidthScale() * f
 }
 
 // Platform is one region's function service.

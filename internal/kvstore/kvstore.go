@@ -297,11 +297,9 @@ func (s *Store) PutIfAbsent(table, key string, item Item) error {
 }
 
 // UpdateTTL is the store's one read-modify-write primitive. fn runs under
-// the store's lock on the stored item itself (nil if absent) — no copy in,
-// no copy out — so an update costs what fn touches, not the size of the
-// record. fn may mutate cur in place and return it, or return a fresh
-// item; either way the store takes ownership of what fn returns, and fn
-// must not retain cur or the returned item past the call. keep == false
+// the store's lock on the stored item itself (nil if absent) and may
+// mutate it in place or return a fresh item; the store owns what fn
+// returns, and fn must not retain either past the call. keep == false
 // deletes the key. fn also decides the lease of the stored item: a
 // returned ttl > 0 (re)installs the expiry, 0 preserves whatever expiry
 // exists. Lock acquisition needs this — only the call that actually takes

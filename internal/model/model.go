@@ -202,30 +202,16 @@ func chunksOf(size, chunk int64) int64 {
 // transfer too) plus the max over the n replicators' transfer times. The
 // two are independent, so Mean and Std are exact; Quantile is the sum of
 // the components' quantiles — an upper bound, which the paper explicitly
-// permits ("the model is allowed to overestimate").
+// permits ("the model is allowed to overestimate"). A single-function
+// prediction leaves transfer zero, which adds exactly nothing.
 type Dist struct {
 	once     stats.Normal
-	transfer stats.MaxNormal // N == 0 for single-function plans
+	transfer stats.MaxNormal
 }
 
-func (d Dist) Mean() float64 {
-	if d.transfer.N == 0 {
-		return d.once.Mu
-	}
-	return d.once.Mu + d.transfer.Mean()
-}
-
-func (d Dist) Std() float64 {
-	if d.transfer.N == 0 {
-		return d.once.Sigma
-	}
-	return math.Hypot(d.once.Sigma, d.transfer.Std())
-}
-
+func (d Dist) Mean() float64 { return d.once.Mu + d.transfer.Mean() }
+func (d Dist) Std() float64  { return math.Hypot(d.once.Sigma, d.transfer.Std()) }
 func (d Dist) Quantile(p float64) float64 {
-	if d.transfer.N == 0 {
-		return d.once.Quantile(p)
-	}
 	return d.once.Quantile(p) + d.transfer.Quantile(p)
 }
 

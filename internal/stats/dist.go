@@ -128,20 +128,10 @@ type MaxNormal struct {
 }
 
 // Mean returns μ + σ·E[M_N].
-func (m MaxNormal) Mean() float64 {
-	if m.N <= 1 {
-		return m.Base.Mu
-	}
-	return m.Base.Mu + m.Base.Sigma*stdMaxMoments(m.N).mean
-}
+func (m MaxNormal) Mean() float64 { return m.Base.Mu + m.Base.Sigma*stdMaxMoments(m.N).mean }
 
 // Std returns σ·Std[M_N].
-func (m MaxNormal) Std() float64 {
-	if m.N <= 1 {
-		return m.Base.Sigma
-	}
-	return m.Base.Sigma * stdMaxMoments(m.N).std
-}
+func (m MaxNormal) Std() float64 { return m.Base.Sigma * stdMaxMoments(m.N).std }
 
 // Quantile returns the p-quantile: the max is below x exactly when all N
 // draws are, so it is Base's quantile at p^(1/N).
@@ -166,6 +156,9 @@ var (
 // the rule converges geometrically: at this step the quadrature error is
 // below 1e-12 for every n a planner can ask for.
 func stdMaxMoments(n int) moments {
+	if n <= 1 {
+		return moments{mean: 0, std: 1}
+	}
 	stdMaxMu.Lock()
 	defer stdMaxMu.Unlock()
 	if m, ok := stdMaxMemo[n]; ok {
@@ -175,8 +168,7 @@ func stdMaxMoments(n int) moments {
 	var m1, m2 float64
 	for i := 0; i <= int((hi-lo)/h); i++ {
 		z := lo + float64(i)*h
-		cdf := 0.5 * math.Erfc(-z/math.Sqrt2)
-		w := float64(n) * math.Exp(-z*z/2) / math.Sqrt(2*math.Pi) * math.Pow(cdf, float64(n-1)) * h
+		w := float64(n) * math.Exp(-z*z/2) / math.Sqrt(2*math.Pi) * math.Pow(N(0, 1).CDF(z), float64(n-1)) * h
 		m1 += z * w
 		m2 += z * z * w
 	}
