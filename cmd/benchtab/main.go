@@ -1,17 +1,21 @@
 // Command benchtab regenerates the tables and figures of the paper's
 // evaluation on the simulated three-cloud world and prints the same rows
-// and series the paper reports.
+// and series the paper reports, plus every table of the extensions. It
+// measures nothing about the host (`go run ./bench` does) and gates only
+// the fleet runs' hard bars, through its exit status.
 //
 // Usage:
 //
-//	benchtab -all            # every table and figure (slow)
-//	benchtab -all -quick     # reduced sizes/rounds, same shapes
-//	benchtab -table 1        # one table (1, 2, 3 or 4)
-//	benchtab -fig 23         # one figure (2-9, 12, 16-23)
-//	benchtab -chaos matrix   # fault matrix across every chaos profile
-//	benchtab -crash          # crash-point sweep: recovery audit per data-plane step
-//	benchtab -chaos mixed@7  # fault matrix for one profile spec
-//	benchtab -fleet          # fleet control plane: hundred-rule fairness table
+//	benchtab -all             # every table, figure and ablation (results_full.txt)
+//	benchtab -all -quick      # reduced sizes/rounds, same shapes
+//	benchtab -table 1         # one table (1, 2, 3 or 4)
+//	benchtab -fig 23          # one figure (2-9, 12, 16-23)
+//	benchtab -chaos matrix    # fault matrix across every chaos profile
+//	benchtab -crash           # crash-point sweep: recovery audit per data-plane step
+//	benchtab -chaos mixed@7   # fault matrix for one profile spec
+//	benchtab -fleet           # fleet control plane: hundred-rule fairness table
+//	benchtab -extra scrub     # anti-entropy scrub cadence sweep
+//	benchtab -extra fleet-day # thousand-rule replay of a virtual day (~1 min)
 package main
 
 import (
@@ -30,7 +34,7 @@ func main() {
 	var (
 		table     = flag.Int("table", 0, "regenerate one table (1-4)")
 		fig       = flag.Int("fig", 0, "regenerate one figure (2-9, 12, 16-23)")
-		extra     = flag.String("extra", "", "extension ablations: partsize | overlay | pipeline")
+		extra     = flag.String("extra", "", "extensions: partsize | overlay | pipeline | scrub | fleet-day")
 		chaosFlag = flag.String("chaos", "", "fault matrix: 'matrix' (all profiles) or comma-separated profile specs (e.g. mixed@7,storage-flaky)")
 		crash     = flag.Bool("crash", false, "crash-point sweep: deterministic crash at each data-plane step, recovery audit per point")
 		fleet     = flag.Bool("fleet", false, "fleet control plane: hundred-rule topology mix under shared quotas, per-rule fairness table")
@@ -101,7 +105,7 @@ func main() {
 		runCrash(*quick)
 	}
 	if *fleet {
-		runFleet(*quick)
+		runFleet("Fleet control plane", experiments.FleetHundred, *quick)
 	}
 	if *all {
 		for _, t := range []int{1, 2, 3, 4} {
@@ -240,14 +244,34 @@ func runCrash(quick bool) {
 	emit(res)
 }
 
-func runFleet(quick bool) {
-	hdr("Fleet control plane")
-	res, err := experiments.RunFleet(experiments.FleetConfig{Preset: experiments.FleetHundred, Quick: quick})
+func runFleet(title, preset string, quick bool) {
+	hdr(title)
+	res, err := experiments.RunFleet(experiments.FleetConfig{Preset: preset, Quick: quick})
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "fleet: %v\n", err)
 		os.Exit(2)
 	}
 	emit(res)
+	// The day replay's point is volume, which the control-plane summary
+	// does not print.
+	if preset == experiments.FleetDay {
+		fmt.Printf("  %d replicated objects over %.1f virtual hours\n", res.ReplicatedObjects, res.VirtualHours)
+	}
+	if code := fleetExit(res); code != 0 {
+		os.Exit(code)
+	}
+}
+
+// fleetExit is the exit status a fleet run earns: 1 when it breaks a hard
+// bar — anything short of full convergence, a duplicate final write, or
+// work left dead-lettered or pending after the drain.
+func fleetExit(r *experiments.FleetResult) int {
+	if r.ConvergencePct == 100 && r.DupFinalWrites == 0 && r.DLQ == 0 && r.Pending == 0 {
+		return 0
+	}
+	fmt.Fprintf(os.Stderr, "%s: hard bar broken: convergence %.2f%% (must be 100), %d duplicate final writes, %d DLQ, %d pending (must be 0)\n",
+		r.Name, r.ConvergencePct, r.DupFinalWrites, r.DLQ, r.Pending)
+	return 1
 }
 
 func runExtra(name string, quick bool) {
@@ -261,6 +285,16 @@ func runExtra(name string, quick bool) {
 	case "pipeline":
 		hdr("Extra: pipelined data plane ablation")
 		emit(experiments.RunPipeline(quick))
+	case "scrub":
+		hdr("Extra: anti-entropy scrub cadence sweep")
+		res, err := experiments.RunScrub(experiments.ScrubConfig{Quick: quick})
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "scrub sweep: %v\n", err)
+			os.Exit(2)
+		}
+		emit(res)
+	case "fleet-day":
+		runFleet("Extra: fleet-day replay", experiments.FleetDay, quick)
 	default:
 		fmt.Fprintf(os.Stderr, "unknown extra %q\n", name)
 		os.Exit(2)

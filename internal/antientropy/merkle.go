@@ -122,16 +122,6 @@ func (b *treeBuilder) finish() *tree {
 	return t
 }
 
-// buildTree partitions a listing (already key-sorted, as ListPage returns
-// it) into leaves and computes the digest hierarchy.
-func buildTree(metas []objstore.Meta, leaves, fanout int, ageAt func(objstore.Meta) float64) *tree {
-	b := newTreeBuilder(leaves, fanout, ageAt)
-	for _, m := range metas {
-		b.add(m)
-	}
-	return b.finish()
-}
-
 // divergence is the repair set one tree comparison yields.
 type divergence struct {
 	Missing []member // at source, absent at destination

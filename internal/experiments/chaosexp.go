@@ -45,12 +45,23 @@ type FaultMatrixConfig struct {
 }
 
 // FaultScenario is one row of the fault matrix: a chaos profile's impact
-// on convergence, delay, and cost.
+// on convergence, delay, and cost. Every field is deterministic per
+// profile seed.
 type FaultScenario struct {
-	// BenchFault is the report row: delay percentiles, DLQ depth after
-	// recovery, cost overhead vs the "none" baseline row, and the lag
-	// watermarks and alert count its doc describes.
-	BenchFault
+	Profile        string
+	ConvergencePct float64
+	P50S           float64
+	P99S           float64
+	DLQ            int // depth after recovery
+	// CostOverheadPct is relative to the "none" baseline row.
+	CostOverheadPct float64
+	// LagP99S is the streaming watermark-histogram p99 (the labelled
+	// engine.lag.seconds family the SLO monitor reads), BacklogMax the
+	// pending-event high-water mark, and SLOAlerts the number of burn-rate/
+	// DLQ/divergence alert transitions the fleetobs monitor emitted.
+	LagP99S    float64
+	BacklogMax int64
+	SLOAlerts  int
 
 	Objects        int // source objects written
 	Converged      int // destination holds the final source version
@@ -224,16 +235,14 @@ func runFaultScenario(prof chaos.Profile, spec string, objects int, quick bool, 
 	oldestMS := w.Metrics.GaugeVec("engine.lag.oldest_age_ms").With(dims...)
 	residual := auditDivergence(w, svc)
 	return FaultScenario{
-		BenchFault: BenchFault{
-			Profile:        spec,
-			ConvergencePct: pct,
-			P50S:           stats.Percentile(delays, 50),
-			P99S:           stats.Percentile(delays, 99),
-			DLQ:            len(svc.Engine.DLQ()),
-			LagP99S:        svc.Engine.LagHistogram().Quantile(0.99),
-			BacklogMax:     w.Metrics.Gauge("engine.lag.backlog").Max(),
-			SLOAlerts:      svc.Monitor.AlertCount(),
-		},
+		Profile:            spec,
+		ConvergencePct:     pct,
+		P50S:               stats.Percentile(delays, 50),
+		P99S:               stats.Percentile(delays, 99),
+		DLQ:                len(svc.Engine.DLQ()),
+		LagP99S:            svc.Engine.LagHistogram().Quantile(0.99),
+		BacklogMax:         w.Metrics.Gauge("engine.lag.backlog").Max(),
+		SLOAlerts:          svc.Monitor.AlertCount(),
 		Objects:            len(metas),
 		Converged:          converged,
 		DupFinalWrites:     dupFinal,

@@ -10,6 +10,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"sort"
 	"sync"
 	"time"
 
@@ -197,3 +198,14 @@ func fprintf(w io.Writer, format string, args ...any) {
 
 // seconds formats a duration in seconds with one decimal.
 func seconds(d time.Duration) string { return fmt.Sprintf("%.1f", d.Seconds()) }
+
+// sortedKeys returns m's keys in ascending order: output that ranges over a
+// map goes through it so two runs print the same bytes.
+func sortedKeys[V any](m map[string]V) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return keys
+}

@@ -54,9 +54,30 @@ type CrashSweepConfig struct {
 }
 
 // CrashPoint is one row of the sweep: the recovery outcome of crashing a
-// function instance at exactly one state-machine step.
+// function instance at exactly one state-machine step. Converged,
+// DupFinalWrites and MPUsLeft are hard bars (recovery must stay total,
+// duplicate-free and leak-free); RedoneBytes and ExtraKVOps are the cost of
+// recovery — checkpointed resume redoing only the in-flight part, not the
+// whole object.
 type CrashPoint struct {
-	BenchCrash // the report row
+	Point     string
+	Converged bool // destination holds the source version afterwards
+	// DupFinalWrites counts distinct destination PUTs of an already-current
+	// version — the at-least-once hazard the dedupe layers must keep at 0.
+	DupFinalWrites int
+	Resumed        int64 // tasks that re-attached to a checkpointed MPU
+	PartsResumed   int64 // parts inherited as already delivered
+	// RedoneBytes is the extra wide-area traffic versus the crash-free
+	// baseline — the work the crash forced the system to repeat. Checkpoint
+	// resume bounds it to about one part; a from-scratch restart would redo
+	// the whole object. RedoneParts is RedoneBytes / part size.
+	RedoneBytes int64
+	RedoneParts float64
+	// ExtraKVOps is the coordination overhead versus baseline: the
+	// checkpoint write/read, the re-attach, and the retry's lock traffic.
+	ExtraKVOps int64
+	GCAborted  int // orphaned MPUs the garbage collector reclaimed
+	MPUsLeft   int // in-progress MPUs still open after GC (want 0)
 
 	Crashes        int64 // chaos crash-point injections (always 1)
 	PartsReclaimed int64 // crashed claims returned to the pool
@@ -92,18 +113,16 @@ func RunCrashSweep(cfg CrashSweepConfig) (*CrashSweepResult, error) {
 			return nil, fmt.Errorf("crash sweep %s: %w", point, err)
 		}
 		res.Points = append(res.Points, CrashPoint{
-			BenchCrash: BenchCrash{
-				Point:          point,
-				Converged:      run.converged,
-				DupFinalWrites: run.dupFinal,
-				Resumed:        run.resumed,
-				PartsResumed:   run.partsResumed,
-				RedoneBytes:    run.legBytes - base.legBytes,
-				RedoneParts:    float64(run.legBytes-base.legBytes) / float64(crashSweepPartSize),
-				ExtraKVOps:     run.kvOps - base.kvOps,
-				GCAborted:      run.gcAborted,
-				MPUsLeft:       run.mpusLeft,
-			},
+			Point:          point,
+			Converged:      run.converged,
+			DupFinalWrites: run.dupFinal,
+			Resumed:        run.resumed,
+			PartsResumed:   run.partsResumed,
+			RedoneBytes:    run.legBytes - base.legBytes,
+			RedoneParts:    float64(run.legBytes-base.legBytes) / float64(crashSweepPartSize),
+			ExtraKVOps:     run.kvOps - base.kvOps,
+			GCAborted:      run.gcAborted,
+			MPUsLeft:       run.mpusLeft,
 			Crashes:        run.crashes,
 			PartsReclaimed: run.partsReclaimed,
 			GCBytes:        run.gcBytes,

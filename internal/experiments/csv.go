@@ -106,8 +106,8 @@ func (r *Fig8Result) CSV() []CSVTable {
 // CSV exports Figure 9's per-instance time series.
 func (r *Fig9Result) CSV() []CSVTable {
 	t := CSVTable{Name: "fig9_instances", Header: []string{"instance", "at_s", "mibps"}}
-	for id, samples := range r.Instances {
-		for _, s := range samples {
+	for _, id := range sortedKeys(r.Instances) {
+		for _, s := range r.Instances[id] {
 			t.Rows = append(t.Rows, []string{id, f64(s.AtSeconds), f64(s.MBps)})
 		}
 	}

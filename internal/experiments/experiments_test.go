@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"io"
+	"sort"
 	"strings"
 	"testing"
 
@@ -181,7 +182,24 @@ func TestFig9InstanceSpread(t *testing.T) {
 	if hi/lo < 1.2 {
 		t.Errorf("instance spread %.2fx too tight", hi/lo)
 	}
-	res.Print(io.Discard)
+
+	// The result is a map; its table and CSV must still come out in
+	// instance order, the same bytes on every run.
+	render := func(r *Fig9Result) string {
+		var b strings.Builder
+		r.Print(&b)
+		rows := r.CSV()[0].Rows
+		if !sort.SliceIsSorted(rows, func(i, j int) bool { return rows[i][0] < rows[j][0] }) {
+			t.Error("CSV rows not in instance order")
+		}
+		for _, row := range rows {
+			b.WriteString(strings.Join(row, ",") + "\n")
+		}
+		return b.String()
+	}
+	if a, b := render(res), render(RunFig9()); a != b {
+		t.Errorf("two runs render differently:\n%s\nvs\n%s", a, b)
+	}
 }
 
 func TestFig12Example(t *testing.T) {

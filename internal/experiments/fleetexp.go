@@ -105,19 +105,42 @@ type FleetRuleRow struct {
 }
 
 // FleetResult is a fleet scenario's outcome, deterministic for a given
-// configuration: the report row (convergence and duplicate-write bars,
-// fairness, shared-quota utilization, batching, dollar cost) plus the
-// audit detail and per-rule accounts behind it.
-//
-// Of the row's fields: ReplicatedObjects counts replica writes landed on
-// destination buckets (origin-tagged puts); LagP99SpreadS is the spread of
-// per-rule lag p99 across rules that resolved work — a fair scheduler
-// keeps it narrow even though rules share lanes with a 10x-hotter fan-out
-// source; QuotaUtilPct is the busiest lane's concurrency high-water mark
-// as a percentage of its cap; VirtualHours is the simulated span the
-// replay covered (the trace plus the drain tail).
+// configuration: convergence and duplicate-write bars, fairness,
+// shared-quota utilization, batching and dollar cost, plus the audit detail
+// and per-rule accounts behind them. Full convergence, zero duplicate final
+// writes and an empty DLQ with nothing pending are hard bars. Host-side
+// numbers (wall seconds, CPU, allocations) are not here: `go run ./bench`
+// measures those.
 type FleetResult struct {
-	BenchFleet
+	Name    string
+	Rules   int
+	Entries int
+	Ops     int
+	// ReplicatedObjects counts replica writes landed on destination buckets
+	// (origin-tagged puts).
+	ReplicatedObjects int64
+	ConvergencePct    float64
+	DupFinalWrites    int
+	DLQ               int
+	Pending           int
+	Starved           int64
+	Admits            int64
+	Defers            int64
+	QuotaWaits        int64
+	Batches           int64
+	BatchMeanSize     float64
+	// QuotaUtilPct is the busiest lane's concurrency high-water mark as a
+	// percentage of its cap.
+	QuotaUtilPct float64
+	LagP99MaxS   float64
+	// LagP99SpreadS is the spread of per-rule lag p99 across rules that
+	// resolved work — a fair scheduler keeps it narrow even though rules
+	// share lanes with a 10x-hotter fan-out source.
+	LagP99SpreadS float64
+	// VirtualHours is the simulated span the replay covered (the trace plus
+	// the drain tail).
+	VirtualHours float64
+	CostUSD      float64
 
 	Audited    int
 	Diverged   int
@@ -353,7 +376,7 @@ func RunFleet(cfg FleetConfig) (*FleetResult, error) {
 	virtSecs := simclock.ToSeconds(sim.Now().Sub(virtStart))
 	fl.PollMonitors()
 
-	res := &FleetResult{Redriven: redriven, BenchFleet: BenchFleet{
+	res := &FleetResult{
 		Name:         cfg.Preset,
 		Rules:        fl.Size(),
 		Entries:      len(entries),
@@ -362,7 +385,8 @@ func RunFleet(cfg FleetConfig) (*FleetResult, error) {
 		DLQ:          fl.DLQTotal(),
 		CostUSD:      sim.CostTotal() - costBefore,
 		VirtualHours: virtSecs / 3600,
-	}}
+		Redriven:     redriven,
+	}
 	for _, w := range watchers {
 		res.ReplicatedObjects += w.Replicas()
 		res.DupFinalWrites += w.Duplicates()

@@ -55,8 +55,8 @@ func (r *Fig4Result) Print(w io.Writer) {
 	fprintf(w, "    Data transfer      %6.2fs (%4.1f%%)\n", r.Breakdown.Transfer.Seconds(), 100*float64(r.Breakdown.Transfer)/float64(total))
 	fprintf(w, "    Others             %6.2fs (%4.1f%%)\n", r.Breakdown.Others.Seconds(), 100*float64(r.Breakdown.Others)/float64(total))
 	var sum float64
-	for _, v := range r.Costs {
-		sum += v
+	for _, k := range sortedKeys(r.Costs) {
+		sum += r.Costs[k]
 	}
 	fprintf(w, "(b) Cost: total $%.6f\n", sum)
 	fprintf(w, "    VM                 $%.6f\n", r.Costs["vm:compute"])
@@ -308,7 +308,8 @@ func RunFig9() *Fig9Result {
 func (r *Fig9Result) Print(w io.Writer) {
 	fprintf(w, "Per-instance bandwidth, aws:us-east-1 -> azure:eastus (Figure 9, MiB/s)\n")
 	lo, hi := 1e18, 0.0
-	for id, samples := range r.Instances {
+	for _, id := range sortedKeys(r.Instances) {
+		samples := r.Instances[id]
 		var sum float64
 		for _, s := range samples {
 			sum += s.MBps

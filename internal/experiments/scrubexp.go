@@ -30,8 +30,15 @@ type ScrubConfig struct {
 
 // ScrubPoint is one row of the sweep: what a scrub cadence buys (residual
 // divergence, divergence age) and what it costs (digest traffic, dollars).
+// The "off" row is the baseline divergence the lossy workload produces.
 type ScrubPoint struct {
-	BenchScrub // the report row
+	Cadence            string // "off" for the no-scrub baseline
+	ConvergencePct     float64
+	ResidualDivergence int // missing + stale + orphaned keys at the final audit
+	Rounds             int64
+	DigestBytes        int64
+	DupFinalWrites     int
+	ScrubCostUSD       float64 // marginal cost vs the no-scrub baseline
 
 	CadenceS          float64
 	Objects           int
@@ -183,24 +190,22 @@ func runScrubScenario(prof chaos.Profile, cadence time.Duration, objects int, qu
 	}
 	dupFinal := dupWatch.Duplicates()
 	return ScrubPoint{
-		BenchScrub: BenchScrub{
-			Cadence:            label,
-			ConvergencePct:     pct,
-			ResidualDivergence: auditDivergence(w, svc),
-			Rounds:             w.Metrics.Counter("antientropy.rounds").Value(),
-			DigestBytes:        w.Metrics.Counter("antientropy.digest.bytes").Value(),
-			DupFinalWrites:     dupFinal,
-		},
-		CadenceS:          cadence.Seconds(),
-		Objects:           len(metas),
-		Converged:         converged,
-		RepairsDispatched: w.Metrics.Counter("antientropy.repair.dispatched").Value(),
-		RepairsRedriven:   w.Metrics.Counter("antientropy.repair.redriven").Value(),
-		RepairsDeduped:    w.Metrics.Counter("antientropy.repair.deduped").Value(),
-		SLOViolations:     w.Metrics.Counter("antientropy.slo_violations").Value(),
-		RepairAgeP50S:     ageP50,
-		RepairAgeMaxS:     ageMax,
-		TotalCostUSD:      cost,
+		Cadence:            label,
+		ConvergencePct:     pct,
+		ResidualDivergence: auditDivergence(w, svc),
+		Rounds:             w.Metrics.Counter("antientropy.rounds").Value(),
+		DigestBytes:        w.Metrics.Counter("antientropy.digest.bytes").Value(),
+		DupFinalWrites:     dupFinal,
+		CadenceS:           cadence.Seconds(),
+		Objects:            len(metas),
+		Converged:          converged,
+		RepairsDispatched:  w.Metrics.Counter("antientropy.repair.dispatched").Value(),
+		RepairsRedriven:    w.Metrics.Counter("antientropy.repair.redriven").Value(),
+		RepairsDeduped:     w.Metrics.Counter("antientropy.repair.deduped").Value(),
+		SLOViolations:      w.Metrics.Counter("antientropy.slo_violations").Value(),
+		RepairAgeP50S:      ageP50,
+		RepairAgeMaxS:      ageMax,
+		TotalCostUSD:       cost,
 	}, nil
 }
 

@@ -46,8 +46,8 @@ func TestScrubSweepAcceptance(t *testing.T) {
 	}
 }
 
-// TestScrubSweepDeterministic pins byte-identical reruns — the property the
-// regression harness (benchreport) depends on.
+// TestScrubSweepDeterministic pins byte-identical reruns — the property
+// TestSweepRowsGolden and CI's cmp steps depend on.
 func TestScrubSweepDeterministic(t *testing.T) {
 	run := func() string {
 		res, err := RunScrub(ScrubConfig{Quick: true})

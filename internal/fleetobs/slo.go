@@ -79,11 +79,12 @@ type Health struct {
 	Alerts     int     `json:"alerts"`
 }
 
-// Monitor evaluates one rule's SLOs. Like telemetry.Sampler it never
-// self-schedules on the virtual clock: the driver calls Poll at its
-// natural loop points (the core wires Poll into the engine's OnTaskDone
-// hook, so every completed task re-evaluates the rule), and each Poll
-// also refreshes the tracker's oldest-age watermark gauge.
+// Monitor evaluates one rule's SLOs. It never self-schedules on the
+// virtual clock (a free-running periodic timer would keep Clock.Quiesce
+// from ever draining): the driver calls Poll at its natural loop points
+// (the core wires Poll into the engine's OnTaskDone hook, so every
+// completed task re-evaluates the rule), and each Poll also refreshes the
+// tracker's oldest-age watermark gauge.
 type Monitor struct {
 	cfg   MonitorConfig
 	epoch time.Time

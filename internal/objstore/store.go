@@ -384,12 +384,8 @@ func (s *Store) emitLocked(b *bucket, ev Event) {
 	}
 }
 
-// storeLocked installs blob as the new current version of key.
-func (s *Store) storeLocked(b *bucket, key string, blob Blob) PutResult {
-	return s.storeOriginLocked(b, key, blob, "")
-}
-
-// storeOriginLocked is storeLocked with an origin tag on the notification.
+// storeOriginLocked installs blob as the new current version of key, with
+// an origin tag on the notification.
 func (s *Store) storeOriginLocked(b *bucket, key string, blob Blob, origin string) PutResult {
 	s.seq++
 	old, existed := b.objects[key]
