@@ -1686,13 +1686,9 @@ func (e *Engine) replicator(ctx *faas.Ctx, ds *distState, p *pool, src, dst, loc
 	if e.Rule.Scheduling != FairDispatch && e.Rule.HedgeBudget > 0 {
 		for !ds.aborted.Load() && !ds.completed.Load() && ctx.Alive() {
 			hsp := ctx.Span.Child("kv:hedge").Set(telemetry.CatAttr, string(telemetry.CatHedge))
-			item, ok := loc.KV.Get(poolTable, ds.taskID)
+			done, ok := loc.KV.GetInt(poolTable, ds.taskID, "done")
 			hsp.End()
-			if !ok {
-				break
-			}
-			done, _ := item["done"].(int64)
-			if done >= ds.parts {
+			if !ok || done >= ds.parts {
 				break
 			}
 			idx, ok := ds.hedgePick(ctx.Instance.ID, e.Rule.HedgeBudget)

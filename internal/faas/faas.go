@@ -337,14 +337,15 @@ func (p *Platform) acquire() (inst *Instance, cold bool) {
 			p.regRunning.Add(1)
 			p.maxConcurrent.SetMax(int64(p.running))
 			now := p.clock.Now()
-			// Reap expired warm instances, then reuse the freshest.
-			live := p.warm[:0]
-			for _, w := range p.warm {
-				if now.Sub(w.idleSince) <= p.cfg.KeepWarm {
-					live = append(live, w)
-				}
+			// Reap expired warm instances, then reuse the freshest. release
+			// appends with idleSince = now, so idleSince never decreases along
+			// p.warm and the expired instances are a prefix.
+			k := 0
+			for k < len(p.warm) && now.Sub(p.warm[k].idleSince) > p.cfg.KeepWarm {
+				k++
 			}
-			p.warm = live
+			clear(p.warm[:k])
+			p.warm = p.warm[k:]
 			if n := len(p.warm); n > 0 {
 				inst = p.warm[n-1]
 				p.warm = p.warm[:n-1]
@@ -432,7 +433,7 @@ func (p *Platform) InvokeSpan(parent *telemetry.Span, n int, handler func(*Ctx))
 		p.meter.Add("fn:invoke", book.FnInvocation)
 		p.invocations.Inc()
 		p.regInvocations.Inc()
-		p.clock.GoCall(func() {
+		p.clock.Go(func() {
 			launched := p.clock.Now()
 			inst, cold := p.acquire()
 			acquired := p.clock.Now()

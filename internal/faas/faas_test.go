@@ -14,7 +14,7 @@ import (
 
 var epoch = time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC)
 
-func newPlatform(t *testing.T, provider cloud.Provider) (*simclock.Clock, *Platform, *pricing.Meter) {
+func newPlatform(t testing.TB, provider cloud.Provider) (*simclock.Clock, *Platform, *pricing.Meter) {
 	t.Helper()
 	var region cloud.Region
 	switch provider {

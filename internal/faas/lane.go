@@ -32,7 +32,7 @@ func (c *Ctx) Go(name string, fn func(sub *Ctx)) *Lane {
 		hasCrash: c.hasCrash,
 	}
 	l := &Lane{done: c.Clock.NewGroup(1)}
-	c.Clock.GoCall(func() {
+	c.Clock.Go(func() {
 		defer l.done.Done()
 		defer sub.Span.End()
 		fn(sub)

@@ -11,7 +11,8 @@
 // A pool record carries one lease attribute per outstanding claim, and an
 // update must cost what it touches, not the size of the record — the
 // closure's side of the bargain is to take only scalars out of the item
-// and to keep no reference to it after returning.
+// and to keep no reference to it after returning. GetInt is the read side
+// of the same bargain: one scalar out of a record, nothing copied.
 package kvstore
 
 import (
@@ -251,6 +252,18 @@ func (s *Store) Get(table, key string) (Item, bool) {
 	s.reapLocked(table, key)
 	it, ok := s.table(table)[key]
 	return it.clone(), ok
+}
+
+// GetInt reads one integer attribute of an item: Get — the same latency,
+// metering, throttling and TTL reaping — without the copy. The boolean
+// reports whether the item exists; an absent or mistyped attribute is 0.
+func (s *Store) GetInt(table, key, attr string) (int64, bool) {
+	s.simulateOp(false)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.reapLocked(table, key)
+	it, ok := s.table(table)[key]
+	return it.Int(attr), ok
 }
 
 // Put writes an item unconditionally.

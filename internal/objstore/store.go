@@ -355,11 +355,13 @@ func (s *Store) Subscribe(bucketName string, fn func(Event)) error {
 // the at-least-once, unordered contract real bucket notifications carry.
 // Caller holds s.mu.
 func (s *Store) emitLocked(b *bucket, ev Event) {
-	var subs []func(Event)
-	subs = append(subs, b.subscribers...)
-	if len(subs) == 0 {
+	// Subscribe only ever appends, so the first n subscribers never change:
+	// capture them capped instead of copying them on every event.
+	n := len(b.subscribers)
+	if n == 0 {
 		return
 	}
+	subs := b.subscribers[:n:n]
 	v := s.chaos.Notify(string(s.region.ID()))
 	if v.Drop {
 		s.notifyDropped.Inc()
@@ -376,11 +378,11 @@ func (s *Store) emitLocked(b *bucket, ev Event) {
 			fn(ev)
 		}
 	}
-	s.clock.DelayCall(simclock.Seconds(delay)+v.Extra, deliver)
+	s.clock.Delay(simclock.Seconds(delay)+v.Extra, deliver)
 	if v.Duplicate {
 		s.notifyDuped.Inc()
 		s.regNotifyDup.Inc()
-		s.clock.DelayCall(simclock.Seconds(delay)+v.Extra+v.DupExtra, deliver)
+		s.clock.Delay(simclock.Seconds(delay)+v.Extra+v.DupExtra, deliver)
 	}
 }
 

@@ -140,8 +140,8 @@ func (p *Profiler) ProfilePath(src, dst, loc cloud.RegionID) model.PathParams {
 
 	var mu sync.Mutex
 	var sSamples []float64
-	var cGroups, cpGroups [][]float64         // one group per instance (round)
-	var cpDownGroups, cpUpGroups [][]float64  // C' split at the leg boundary
+	var cGroups, cpGroups [][]float64        // one group per instance (round)
+	var cpDownGroups, cpUpGroups [][]float64 // C' split at the leg boundary
 
 	for r := 0; r < p.Rounds; r++ {
 		r := r

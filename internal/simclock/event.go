@@ -6,7 +6,7 @@ package simclock
 type Event struct {
 	c       *Clock
 	done    bool
-	waiters []chan struct{}
+	waiters []*actor
 }
 
 // NewEvent returns an untriggered Event bound to the clock.
@@ -23,13 +23,10 @@ func (e *Event) Wait() {
 		c.mu.Unlock()
 		return
 	}
-	ch := c.getWakeLocked()
-	e.waiters = append(e.waiters, ch)
+	a := c.cur
+	e.waiters = append(e.waiters, a)
 	c.blocked++
-	c.yieldLocked()
-	c.mu.Unlock()
-	<-ch
-	c.putWake(ch)
+	c.yieldLocked(a)
 }
 
 // Triggered reports whether the event has been triggered.
@@ -47,14 +44,11 @@ func (e *Event) Trigger() {
 	c.mu.Lock()
 	if !e.done {
 		e.done = true
-		for _, ch := range e.waiters {
+		for _, a := range e.waiters {
 			c.blocked--
-			c.ready = append(c.ready, readyEnt{ch: ch})
+			c.ready = append(c.ready, turn{a: a})
 		}
 		e.waiters = nil
-		if !c.running {
-			c.dispatchLocked()
-		}
 	}
 	c.mu.Unlock()
 }

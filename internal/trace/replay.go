@@ -19,7 +19,7 @@ func Replay(clock *simclock.Clock, ops []Op, apply func(Op)) {
 			clock.Sleep(d)
 		}
 		op := op
-		clock.GoCall(func() { apply(op) })
+		clock.Go(func() { apply(op) })
 	}
 }
 
