@@ -73,8 +73,10 @@ func (s *Sim) Wait() { s.world.Clock.Quiesce() }
 // Sleep advances virtual time by d from the caller's perspective.
 func (s *Sim) Sleep(d time.Duration) { s.world.Clock.Sleep(d) }
 
-// Go runs fn as a concurrent simulation actor (use instead of the go
-// statement inside the simulation).
+// Go queues fn to run as a concurrent simulation actor (use instead of the
+// go statement inside the simulation): fn starts, on one of the clock's
+// pooled goroutines, once the caller blocks on the simulation and the
+// actors already ready have had their turns.
 func (s *Sim) Go(fn func()) { s.world.Clock.Go(fn) }
 
 // Regions lists the available region identifiers.

@@ -147,22 +147,22 @@ func (c *Clock) Sleep(d time.Duration) {
 		c.mu.Unlock()
 		return
 	}
-	a := c.cur
-	c.armLocked(d, a, nil)
-	c.yieldLocked(a)
+	c.armLocked(at, c.cur, nil)
+	c.yieldLocked()
 }
 
-// armLocked pushes a timer d from now that wakes a or, when due, queues fn.
-func (c *Clock) armLocked(d time.Duration, a *actor, fn func()) {
+// armLocked pushes a timer that at its instant wakes a or queues fn.
+func (c *Clock) armLocked(at int64, a *actor, fn func()) {
 	c.stats.Sleeps++
 	c.seq++
-	c.timers.push(timer{at: c.ns.Load() + int64(d), seq: c.seq, a: a, fn: fn})
+	c.timers.push(timer{at: at, seq: c.seq, a: a, fn: fn})
 }
 
-// yieldLocked passes on the run token held by a, which the caller has just
-// queued on a timer, an event or the idlers, releases c.mu and blocks until
-// a is granted the token again.
-func (c *Clock) yieldLocked(a *actor) {
+// yieldLocked passes on the run token of the calling actor, which has just
+// queued itself (c.cur) on a timer, an event or the idlers, releases c.mu
+// and blocks until the actor is granted the token again.
+func (c *Clock) yieldLocked() {
+	a := c.cur
 	c.dispatchLocked(nil)
 	c.mu.Unlock()
 	<-a.ch
@@ -237,9 +237,8 @@ func (c *Clock) Quiesce() {
 		c.mu.Unlock()
 		return
 	}
-	a := c.cur
-	c.idlers = append(c.idlers, a)
-	c.yieldLocked(a)
+	c.idlers = append(c.idlers, c.cur)
+	c.yieldLocked()
 }
 
 // popReadyLocked removes and returns the front of the ready queue.
@@ -271,7 +270,7 @@ func (c *Clock) dispatchLocked(self *actor) func() {
 			t := c.popReadyLocked()
 			switch {
 			case t.d > 0:
-				c.armLocked(t.d, nil, t.fn)
+				c.armLocked(c.ns.Load()+int64(t.d), nil, t.fn)
 			case t.a != nil:
 				c.cur = t.a
 				t.a.ch <- nil

@@ -3,6 +3,7 @@ package simclock
 import (
 	"bytes"
 	"runtime"
+	"slices"
 	"strconv"
 	"sync/atomic"
 	"testing"
@@ -60,14 +61,8 @@ func TestDelayArmsAtItsTurn(t *testing.T) {
 	c.Sleep(time.Millisecond) // armed first: the three entries above have not had their turn
 	order = append(order, "driver")
 	c.Quiesce()
-	want := []string{"driver", "delay-0", "actor", "delay-1"}
-	if len(order) != len(want) {
+	if want := []string{"driver", "delay-0", "actor", "delay-1"}; !slices.Equal(order, want) {
 		t.Fatalf("order = %v, want %v", order, want)
-	}
-	for i := range want {
-		if order[i] != want[i] {
-			t.Fatalf("order = %v, want %v", order, want)
-		}
 	}
 	// Two delayed starts and two sleeps armed a timer each; three functions
 	// were queued to start; all four timers were due at one instant.

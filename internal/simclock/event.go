@@ -23,10 +23,9 @@ func (e *Event) Wait() {
 		c.mu.Unlock()
 		return
 	}
-	a := c.cur
-	e.waiters = append(e.waiters, a)
+	e.waiters = append(e.waiters, c.cur)
 	c.blocked++
-	c.yieldLocked(a)
+	c.yieldLocked()
 }
 
 // Triggered reports whether the event has been triggered.
