@@ -59,8 +59,8 @@ func NewSim() *Sim {
 	return &Sim{world: world.New(), model: model.New(), events: fleetobs.NewEventLog()}
 }
 
-// World exposes the underlying simulation for advanced use (experiments,
-// custom baselines).
+// World exposes the underlying simulation; the benchmark (bench/) uses it
+// to arm chaos, drive the clock and read metrics and bucket listings.
 func (s *Sim) World() *world.World { return s.world }
 
 // Now returns the current virtual time.
@@ -174,15 +174,13 @@ func (s *Sim) CopyObject(region, bucket, srcKey, dstKey string) (ObjectInfo, err
 	if err != nil {
 		return ObjectInfo{}, err
 	}
-	res, err := s.world.Region(rid).Obj.Copy(bucket, srcKey, bucket, dstKey, "")
-	if err != nil {
+	if _, err := s.world.Region(rid).Obj.Copy(bucket, srcKey, bucket, dstKey, ""); err != nil {
 		return ObjectInfo{}, err
 	}
 	m, err := s.world.Region(rid).Obj.Head(bucket, dstKey)
 	if err != nil {
 		return ObjectInfo{}, err
 	}
-	_ = res
 	return ObjectInfo{Key: m.Key, Size: m.Size, ETag: m.ETag, Created: m.Created}, nil
 }
 
@@ -265,7 +263,6 @@ type Rule struct {
 
 // Replication is a deployed rule.
 type Replication struct {
-	sim *Sim
 	svc *core.Service
 }
 
@@ -314,25 +311,14 @@ func (s *Sim) Deploy(r Rule) (*Replication, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Replication{sim: s, svc: svc}, nil
+	return &Replication{svc: svc}, nil
 }
 
 // DelayRecord reports one source write's replication delay.
-type DelayRecord struct {
-	Key       string
-	Size      int64
-	EventTime time.Time
-	Delay     time.Duration
-}
+type DelayRecord = engine.DelayRecord
 
 // Records returns per-write replication delays resolved so far.
-func (r *Replication) Records() []DelayRecord {
-	var out []DelayRecord
-	for _, rec := range r.svc.Tracker().Records() {
-		out = append(out, DelayRecord{Key: rec.Key, Size: rec.Size, EventTime: rec.EventTime, Delay: rec.Delay})
-	}
-	return out
-}
+func (r *Replication) Records() []DelayRecord { return r.svc.Tracker().Records() }
 
 // Delays returns the resolved replication delays.
 func (r *Replication) Delays() []time.Duration {
@@ -363,32 +349,14 @@ func (r *Replication) DLQSize() int { return len(r.svc.Engine.DLQ()) }
 func (r *Replication) RedriveDLQ() int { return r.svc.Engine.RedriveDLQ() }
 
 // Health is one rule's current health row (requires Rule.Monitor).
-type Health struct {
-	Rule       string  // "src/bucket->dst/bucket"
-	Dest       string  // destination region
-	State      string  // "ok" | "warn" | "page"
-	LagP50S    float64 // replication-lag percentiles, seconds
-	LagP99S    float64
-	Backlog    int     // events awaiting replication
-	OldestAgeS float64 // age of the oldest unreplicated event, seconds
-	DLQ        int     // dead-letter depth
-	BurnShort  float64 // short-window error-budget burn rate
-	BurnLong   float64 // long-window error-budget burn rate
-	Alerts     int     // warn/page transitions so far
-}
+type Health = fleetobs.Health
 
 // Health returns the rule's current health row at the virtual instant.
 func (r *Replication) Health() (Health, error) {
 	if r.svc.Monitor == nil {
 		return Health{}, fmt.Errorf("areplica: monitoring is not enabled on this rule")
 	}
-	h := r.svc.Monitor.Health()
-	return Health{
-		Rule: h.Rule, Dest: h.Dest, State: h.State,
-		LagP50S: h.LagP50S, LagP99S: h.LagP99S,
-		Backlog: h.Backlog, OldestAgeS: h.OldestAgeS, DLQ: h.DLQ,
-		BurnShort: h.BurnShort, BurnLong: h.BurnLong, Alerts: h.Alerts,
-	}, nil
+	return r.svc.Monitor.Health(), nil
 }
 
 // PollMonitor re-evaluates the rule's SLOs at the current virtual
@@ -417,9 +385,10 @@ func (s *Sim) EventCount() int { return s.events.Len() }
 // text exposition format.
 func (s *Sim) WriteMetricsProm(w io.Writer) error { return s.world.Metrics.WritePromText(w) }
 
-// WriteHealthTable renders the health rows of the given replications
-// (all monitored ones of this sim when none are passed explicitly is not
-// inferred — pass what you deployed) as an aligned text table.
+// WriteHealthTable renders the health rows of the given replications as
+// an aligned text table, sorted by rule. Replications without a monitor
+// are skipped; the sim does not track what was deployed, so pass every
+// replication to include.
 func (s *Sim) WriteHealthTable(w io.Writer, reps ...*Replication) error {
 	var rows []fleetobs.Health
 	for _, rep := range reps {
@@ -441,20 +410,13 @@ func (r *Replication) RegisterCopy(dstKey, dstETag, srcKey, srcETag string) erro
 }
 
 // ConcatSource names one input of a concatenation changelog.
-type ConcatSource struct {
-	Key  string
-	ETag string
-}
+type ConcatSource = changelog.Source
 
 // RegisterConcat hints that dstKey was produced by concatenating the
 // sources in order.
 func (r *Replication) RegisterConcat(dstKey, dstETag string, sources []ConcatSource) error {
-	srcs := make([]changelog.Source, len(sources))
-	for i, s := range sources {
-		srcs[i] = changelog.Source{Key: s.Key, ETag: s.ETag}
-	}
 	return r.svc.RegisterChangelog(changelog.Log{
-		Key: dstKey, ETag: dstETag, Op: changelog.OpConcat, Sources: srcs,
+		Key: dstKey, ETag: dstETag, Op: changelog.OpConcat, Sources: sources,
 	})
 }
 
@@ -503,7 +465,8 @@ func (r *Replication) ScrubUntilClean() (ScrubReport, error) {
 	}, err
 }
 
-// Service exposes the underlying core service for experiments.
+// Service exposes the underlying core service; the benchmark (bench/)
+// uses it to time the planner and read the logger directly.
 func (r *Replication) Service() *core.Service { return r.svc }
 
 // String implements fmt.Stringer.

@@ -41,8 +41,6 @@ type options struct {
 	src, dst, size              string
 	count                       int
 	slo                         time.Duration
-	pct                         float64
-	batching                    bool
 	replay                      time.Duration
 	rate                        float64
 	traceOut, metricsOut        string
@@ -66,8 +64,6 @@ func newFlagSet(o *options) *flag.FlagSet {
 	fs.StringVar(&o.size, "size", "16MB", "object size for -count mode (e.g. 512KB, 16MB, 1GB)")
 	fs.IntVar(&o.count, "count", 3, "number of objects to replicate")
 	fs.DurationVar(&o.slo, "slo", 0, "replication SLO (0 = fastest plan)")
-	fs.Float64Var(&o.pct, "percentile", 0.99, "SLO percentile")
-	fs.BoolVar(&o.batching, "batching", false, "enable SLO-bounded batching (requires -slo)")
 	fs.DurationVar(&o.replay, "replay", 0, "replay a synthetic IBM-COS-like trace of this duration instead of -count mode")
 	fs.Float64Var(&o.rate, "rate", 60, "trace request rate (ops/minute)")
 	fs.StringVar(&o.traceOut, "trace", "", "write per-task spans as Chrome trace_event JSON to this file (chrome://tracing, Perfetto)")
@@ -94,9 +90,8 @@ func newFlagSet(o *options) *flag.FlagSet {
 // these would silently apply to none of its rules, so passing any of them
 // alongside -fleet is an error, not a hint.
 var singleRuleOnly = []string{
-	"src", "dst", "size", "count", "slo", "percentile",
-	"batching", "chaos", "crashpoint", "scrub", "lag-slo",
-	"critpath", "trace", "retain", "retain-seed",
+	"src", "dst", "size", "count", "slo", "chaos", "crashpoint",
+	"scrub", "lag-slo", "critpath", "trace", "retain", "retain-seed",
 }
 
 func main() {
@@ -167,8 +162,7 @@ func main() {
 	rep, err := sim.Deploy(areplica.Rule{
 		SrcRegion: o.src, SrcBucket: srcBucket,
 		DstRegion: o.dst, DstBucket: dstBucket,
-		SLO: o.slo, Percentile: o.pct, Batching: o.batching,
-		Scrub: o.scrub > 0, ScrubCadence: o.scrub,
+		SLO: o.slo, Scrub: o.scrub > 0, ScrubCadence: o.scrub,
 		Monitor: true, LagTarget: o.lagSLO,
 	})
 	if err != nil {
@@ -492,7 +486,7 @@ func runFleet(sim *areplica.Sim, path string, replayDur time.Duration, ratePerMi
 		fmt.Printf("%-10s %-18s %5s %10s %7s %7s\n", "provider", "region", "cap", "max_infl", "forced", "util")
 		for _, l := range lanes {
 			fmt.Printf("%-10s %-18s %5d %10d %7d %6.1f%%\n",
-				l.Provider, l.Region, l.Cap, l.MaxInflight, l.Forced, l.UtilizationPct)
+				l.Lane.Provider, l.Lane.Region, l.Cap, l.MaxInflight, l.Forced, l.UtilizationPct)
 		}
 	}
 	if out.verbose {

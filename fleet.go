@@ -1,193 +1,60 @@
 package areplica
 
 // Fleet control plane facade: many replication rules deployed as one unit
-// under a shared scheduler and per-(provider,region) quota ledgers, with
-// topology helpers for one-to-many fan-out, chained replication (A→B→C)
-// and full mesh. See internal/fleet for the scheduling and quota
-// machinery; DESIGN.md "Fleet control plane" for semantics.
+// under a shared scheduler and per-(provider,region) quota ledgers. The
+// types, topology builders and fleet accounting live in internal/core;
+// this file re-exports them, wraps the fleet's services as Replications
+// and parses the JSON topology format.
 
 import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"sort"
-	"strings"
 	"time"
 
-	"repro/internal/cloud"
 	"repro/internal/core"
-	"repro/internal/engine"
 	"repro/internal/fleet"
-	"repro/internal/fleetobs"
 )
 
-// FleetRule is one rule of a fleet topology.
-type FleetRule struct {
-	SrcRegion, SrcBucket string
-	DstRegion, DstBucket string
+// Fleet topology and accounting types; see internal/core and
+// internal/fleet for their fields.
+type (
+	FleetRule    = core.FleetRule
+	FleetDst     = core.FleetDst
+	FleetHop     = core.FleetHop
+	FleetOptions = core.FleetOptions
 
-	// KeyPrefix scopes the rule to keys with this prefix (empty = all).
-	KeyPrefix string
-	// SLO is the rule's replication-delay objective (zero = fastest plan).
-	SLO time.Duration
-	// Weight is the rule's fair-share weight in the fleet scheduler
-	// (default 1; a weight-2 rule is admitted twice as often under
-	// contention).
-	Weight float64
-	// Priority is the rule's scheduling class: higher classes admit
-	// strictly first (default 0).
-	Priority int
-	// AcceptOrigins lists upstream replica-write origin tags (OriginOf)
-	// this rule treats as source writes — how a chain's B→C hop consumes
-	// B's applied writes without a notification loop.
-	AcceptOrigins []string
-}
-
-// ID returns the rule's stable identifier ("src/bucket->dst/bucket").
-func (r FleetRule) ID() string {
-	return fmt.Sprintf("%s/%s->%s/%s", r.SrcRegion, r.SrcBucket, r.DstRegion, r.DstBucket)
-}
+	FleetRuleStats  = fleet.RuleStats
+	FleetLaneStats  = fleet.LaneStats
+	FleetBatchStats = fleet.BatchStats
+)
 
 // OriginOf returns the origin tag the given rule's engine stamps on its
-// destination writes. Chained topologies whitelist upstream rules'
-// origins via FleetRule.AcceptOrigins; the builders below do it for you.
+// destination writes (see FleetRule.AcceptOrigins).
 func OriginOf(srcRegion, srcBucket, dstRegion, dstBucket string) string {
-	return engine.OriginPrefix + fmt.Sprintf("%s/%s->%s/%s", srcRegion, srcBucket, dstRegion, dstBucket)
+	return core.OriginOf(srcRegion, srcBucket, dstRegion, dstBucket)
 }
 
-// FleetDst is one destination of a fan-out topology.
-type FleetDst struct {
-	Region string
-	Bucket string
-}
-
-// FanOut builds a one-to-many topology: every write to the source bucket
-// replicates to each destination independently (one rule per destination,
-// all fed by the same source changelog).
+// FanOut builds a one-to-many topology: one rule per destination.
 func FanOut(srcRegion, srcBucket string, dsts ...FleetDst) ([]FleetRule, error) {
-	if len(dsts) == 0 {
-		return nil, fmt.Errorf("areplica: fan-out needs at least one destination")
-	}
-	rules := make([]FleetRule, 0, len(dsts))
-	for _, d := range dsts {
-		if d.Region == srcRegion && d.Bucket == srcBucket {
-			return nil, fmt.Errorf("areplica: fan-out destination %s/%s is the source", d.Region, d.Bucket)
-		}
-		rules = append(rules, FleetRule{
-			SrcRegion: srcRegion, SrcBucket: srcBucket,
-			DstRegion: d.Region, DstBucket: d.Bucket,
-		})
-	}
-	return rules, nil
+	return core.FanOut(srcRegion, srcBucket, dsts...)
 }
 
-// FleetHop is one stop of a chained topology.
-type FleetHop struct {
-	Region string
-	Bucket string
-}
-
-// Chain builds a chained topology A→B→C…: each hop's applied writes feed
-// the next hop's rule (the next rule whitelists the previous rule's
-// origin), so an object written at the head propagates hop by hop without
-// any hop re-notifying its own upstream. A hop may not repeat — a cycle
-// would re-deliver writes forever at the rule level; use FullMesh for
-// cyclic (active-active) topologies, whose origin-skip semantics are
-// loop-free by construction.
-func Chain(hops ...FleetHop) ([]FleetRule, error) {
-	if len(hops) < 2 {
-		return nil, fmt.Errorf("areplica: a chain needs at least two hops")
-	}
-	seen := make(map[string]bool, len(hops))
-	for _, h := range hops {
-		id := h.Region + "/" + h.Bucket
-		if seen[id] {
-			return nil, fmt.Errorf("areplica: chain revisits %s (cycles are not chains; use FullMesh)", id)
-		}
-		seen[id] = true
-	}
-	rules := make([]FleetRule, 0, len(hops)-1)
-	for i := 1; i < len(hops); i++ {
-		prev, cur := hops[i-1], hops[i]
-		r := FleetRule{
-			SrcRegion: prev.Region, SrcBucket: prev.Bucket,
-			DstRegion: cur.Region, DstBucket: cur.Bucket,
-		}
-		if i > 1 {
-			up := hops[i-2]
-			r.AcceptOrigins = []string{OriginOf(up.Region, up.Bucket, prev.Region, prev.Bucket)}
-		}
-		rules = append(rules, r)
-	}
-	return rules, nil
-}
+// Chain builds a chained topology A→B→C…, each hop fed by the previous
+// hop's applied writes.
+func Chain(hops ...FleetHop) ([]FleetRule, error) { return core.Chain(hops...) }
 
 // FullMesh builds an active-active mesh over the named bucket in every
-// region: one rule per ordered region pair. Writes at any member
-// replicate to all others in one hop; replica writes are origin-tagged
-// and skipped by every member's rules, so the mesh cannot loop.
+// region: one rule per ordered region pair.
 func FullMesh(bucket string, regions ...string) ([]FleetRule, error) {
-	if len(regions) < 2 {
-		return nil, fmt.Errorf("areplica: a mesh needs at least two regions")
-	}
-	seen := make(map[string]bool, len(regions))
-	for _, r := range regions {
-		if seen[r] {
-			return nil, fmt.Errorf("areplica: mesh region %s repeated", r)
-		}
-		seen[r] = true
-	}
-	var rules []FleetRule
-	for _, src := range regions {
-		for _, dst := range regions {
-			if src == dst {
-				continue
-			}
-			rules = append(rules, FleetRule{
-				SrcRegion: src, SrcBucket: bucket,
-				DstRegion: dst, DstBucket: bucket,
-			})
-		}
-	}
-	return rules, nil
-}
-
-// FleetOptions configures a fleet deployment's shared control plane.
-type FleetOptions struct {
-	// FaaSConcurrency caps concurrently running function instances per
-	// (provider,region) lane across the whole fleet (0 = uncapped).
-	// Quotas arm after deployment, like chaos, so profiling stays clean.
-	FaaSConcurrency int
-	// KVOpsPerSec caps each lane's shared KV throughput (0 = uncapped).
-	KVOpsPerSec float64
-	// StallGuard is the ledger's forced-admission escape window (see
-	// fleet.QuotaConfig; default 2 virtual minutes).
-	StallGuard time.Duration
-
-	// LaneSlots bounds concurrent scheduled dispatches per source lane
-	// (default 16, clamped to FaaSConcurrency when that is lower).
-	LaneSlots int
-	// BatchWindow is the scheduler's cross-rule coalescing window
-	// (default 20ms).
-	BatchWindow time.Duration
-	// StarveAfter is the queue wait past which an event counts its rule
-	// as starved (default 30s).
-	StarveAfter time.Duration
-
-	// LagTarget is every rule's monitored lag objective (default 30s).
-	LagTarget time.Duration
-	// ProfileRounds overrides profiling effort for all rules.
-	ProfileRounds int
+	return core.FullMesh(bucket, regions...)
 }
 
 // Fleet is a deployed fleet: its rules, shared scheduler and quota
-// ledger.
+// ledger. The embedded core fleet carries the fleet-wide accounting,
+// audit and health table; Fleet adds the per-rule Replication views.
 type Fleet struct {
-	sim    *Sim
-	sched  *fleet.Scheduler
-	ledger *fleet.Ledger
-	order  []string // rule IDs in deployment order
-	reps   map[string]*Replication
+	*core.Fleet
 }
 
 // DeployFleet deploys every rule of a topology under one shared
@@ -196,253 +63,30 @@ type Fleet struct {
 // performance model, each with an SLO monitor attached. Quotas arm after
 // all rules are deployed — profiling, like chaos, sees a clean account.
 func (s *Sim) DeployFleet(rules []FleetRule, opts FleetOptions) (*Fleet, error) {
-	if len(rules) == 0 {
-		return nil, fmt.Errorf("areplica: a fleet needs at least one rule")
+	f, err := core.DeployFleet(s.world, s.model, s.events, rules, opts)
+	if err != nil {
+		return nil, err
 	}
-	laneSlots := opts.LaneSlots
-	if laneSlots <= 0 {
-		laneSlots = 16
-	}
-	if opts.FaaSConcurrency > 0 && laneSlots > opts.FaaSConcurrency {
-		laneSlots = opts.FaaSConcurrency
-	}
-	var ledger *fleet.Ledger
-	if opts.FaaSConcurrency > 0 || opts.KVOpsPerSec > 0 {
-		ledger = fleet.NewLedger(s.world.Clock, s.world.Metrics, fleet.QuotaConfig{
-			FaaSConcurrency: opts.FaaSConcurrency,
-			KVOpsPerSec:     opts.KVOpsPerSec,
-			StallGuard:      opts.StallGuard,
-		})
-	}
-	sched := fleet.NewScheduler(s.world.Clock, s.world.Metrics, ledger, fleet.SchedConfig{
-		LaneSlots:   laneSlots,
-		BatchWindow: opts.BatchWindow,
-		StarveAfter: opts.StarveAfter,
-	})
-
-	f := &Fleet{sim: s, sched: sched, ledger: ledger, reps: make(map[string]*Replication)}
-	for _, fr := range rules {
-		src, err := s.region(fr.SrcRegion)
-		if err != nil {
-			return nil, fmt.Errorf("areplica: fleet rule %s: %w", fr.ID(), err)
-		}
-		dst, err := s.region(fr.DstRegion)
-		if err != nil {
-			return nil, fmt.Errorf("areplica: fleet rule %s: %w", fr.ID(), err)
-		}
-		rid := fr.ID()
-		lane := fleet.LaneID{Provider: string(cloud.MustLookup(src).Provider), Region: string(src)}
-		// Rule admission: a duplicate rule is a topology error, caught
-		// before anything deploys or subscribes.
-		if err := sched.Register(rid, fr.DstRegion, lane, fr.Weight, fr.Priority); err != nil {
-			return nil, fmt.Errorf("areplica: %w", err)
-		}
-		if err := s.ensureBucket(fr.SrcRegion, fr.SrcBucket); err != nil {
-			return nil, err
-		}
-		if err := s.ensureBucket(fr.DstRegion, fr.DstBucket); err != nil {
-			return nil, err
-		}
-		svc, err := core.Deploy(s.world, core.Options{
-			Rule: engine.Rule{
-				Src: src, Dst: dst,
-				SrcBucket: fr.SrcBucket, DstBucket: fr.DstBucket,
-				SLO: fr.SLO, KeyPrefix: fr.KeyPrefix,
-				AcceptOrigins: fr.AcceptOrigins,
-			},
-			EnableMonitor: true,
-			MonitorSLO:    fleetobs.SLO{LagTarget: opts.LagTarget},
-			Events:        s.events,
-			ProfileRounds: opts.ProfileRounds,
-			Model:         s.model, // rules share profiling work
-			DispatchGate:  sched.Gate(rid),
-		})
-		if err != nil {
-			return nil, fmt.Errorf("areplica: fleet rule %s: %w", rid, err)
-		}
-		f.order = append(f.order, rid)
-		f.reps[rid] = &Replication{sim: s, svc: svc}
-	}
-
-	// Arm the shared quotas on every region's platforms now that
-	// profiling is done; execution may land anywhere (relays, remote
-	// replicators), so every lane is gated.
-	if ledger != nil {
-		for _, r := range cloud.AllRegions() {
-			lane := fleet.LaneID{Provider: string(r.Provider), Region: string(r.ID())}
-			reg := s.world.Region(r.ID())
-			if opts.FaaSConcurrency > 0 {
-				reg.Fn.SetQuota(ledger.FnGate(lane))
-			}
-			if opts.KVOpsPerSec > 0 {
-				reg.KV.SetQuota(ledger.KVGate(lane))
-			}
-		}
-	}
-	return f, nil
-}
-
-// ensureBucket creates a bucket, tolerating its prior existence (fleet
-// topologies legitimately reuse buckets: fan-out sources, mesh members).
-func (s *Sim) ensureBucket(region, bucket string) error {
-	err := s.CreateBucket(region, bucket)
-	if err != nil && strings.Contains(err.Error(), "already exists") {
-		return nil
-	}
-	return err
-}
-
-// Size returns the number of deployed rules.
-func (f *Fleet) Size() int { return len(f.order) }
-
-// RuleIDs returns the deployed rule identifiers, sorted.
-func (f *Fleet) RuleIDs() []string {
-	out := append([]string(nil), f.order...)
-	sort.Strings(out)
-	return out
+	return &Fleet{f}, nil
 }
 
 // Rule returns one deployed rule's Replication (nil when unknown).
-func (f *Fleet) Rule(id string) *Replication { return f.reps[id] }
+func (f *Fleet) Rule(id string) *Replication {
+	svc := f.Service(id)
+	if svc == nil {
+		return nil
+	}
+	return &Replication{svc: svc}
+}
 
 // Replications returns the deployed rules in deployment order.
 func (f *Fleet) Replications() []*Replication {
-	out := make([]*Replication, 0, len(f.order))
-	for _, id := range f.order {
-		out = append(out, f.reps[id])
+	svcs := f.Services()
+	out := make([]*Replication, len(svcs))
+	for i, svc := range svcs {
+		out[i] = &Replication{svc: svc}
 	}
 	return out
-}
-
-// PollMonitors re-evaluates every rule's SLOs at the current virtual
-// instant (see Replication.PollMonitor).
-func (f *Fleet) PollMonitors() {
-	for _, id := range f.order {
-		f.reps[id].PollMonitor()
-	}
-}
-
-// PendingTotal sums source writes not yet replicated across all rules.
-func (f *Fleet) PendingTotal() int {
-	n := 0
-	for _, id := range f.order {
-		n += f.reps[id].Pending()
-	}
-	return n
-}
-
-// DLQTotal sums dead-lettered events across all rules.
-func (f *Fleet) DLQTotal() int {
-	n := 0
-	for _, id := range f.order {
-		n += f.reps[id].DLQSize()
-	}
-	return n
-}
-
-// RedriveAll re-dispatches every rule's dead-lettered events, returning
-// how many re-entered the pipeline. Run the simulation (Wait) afterwards.
-func (f *Fleet) RedriveAll() int {
-	n := 0
-	for _, id := range f.order {
-		n += f.reps[id].RedriveDLQ()
-	}
-	return n
-}
-
-// WriteHealthTable renders every rule's health row as an aligned text
-// table in deterministic sorted rule order.
-func (f *Fleet) WriteHealthTable(w io.Writer) error {
-	return f.sim.WriteHealthTable(w, f.Replications()...)
-}
-
-// Diverged audits forward convergence: for every rule, each source key
-// under the rule's prefix must exist at the destination with the same
-// ETag. It returns the number of diverged (missing or stale) keys and
-// the number of keys audited.
-func (f *Fleet) Diverged() (diverged, total int, err error) {
-	for _, id := range f.order {
-		rep := f.reps[id]
-		rule := rep.svc.Rule
-		src := f.sim.world.Region(rule.Src).Obj
-		dst := f.sim.world.Region(rule.Dst).Obj
-		metas, lerr := src.List(rule.SrcBucket)
-		if lerr != nil {
-			return 0, 0, fmt.Errorf("areplica: fleet audit %s: %w", id, lerr)
-		}
-		for _, m := range metas {
-			if rule.KeyPrefix != "" && !strings.HasPrefix(m.Key, rule.KeyPrefix) {
-				continue
-			}
-			total++
-			cur, herr := dst.Head(rule.DstBucket, m.Key)
-			if herr != nil || cur.ETag != m.ETag {
-				diverged++
-			}
-		}
-	}
-	return diverged, total, nil
-}
-
-// FleetRuleStats is one rule's scheduling account.
-type FleetRuleStats struct {
-	Rule       string
-	Admits     int64
-	Defers     int64
-	Starved    int64
-	QuotaWaits int64
-	Queued     int
-	MaxQueue   int
-}
-
-// SchedStats snapshots every rule's scheduling counters, sorted by rule.
-func (f *Fleet) SchedStats() []FleetRuleStats {
-	var out []FleetRuleStats
-	for _, st := range f.sched.RuleStats() {
-		out = append(out, FleetRuleStats{
-			Rule: st.Rule, Admits: st.Admits, Defers: st.Defers,
-			Starved: st.Starved, QuotaWaits: st.QuotaWaits,
-			Queued: st.Queued, MaxQueue: st.MaxQueue,
-		})
-	}
-	return out
-}
-
-// FleetLaneStats is one (provider,region) lane's quota account.
-type FleetLaneStats struct {
-	Provider       string
-	Region         string
-	Cap            int
-	MaxInflight    int
-	Forced         int64
-	UtilizationPct float64
-}
-
-// QuotaStats snapshots every quota lane the fleet has touched, sorted by
-// lane; empty when no quotas were configured.
-func (f *Fleet) QuotaStats() []FleetLaneStats {
-	var out []FleetLaneStats
-	for _, st := range f.ledger.Stats() {
-		out = append(out, FleetLaneStats{
-			Provider: st.Lane.Provider, Region: st.Lane.Region,
-			Cap: st.Cap, MaxInflight: st.MaxInflight, Forced: st.Forced,
-			UtilizationPct: st.UtilizationPct,
-		})
-	}
-	return out
-}
-
-// FleetBatchStats aggregates cross-rule batching over all lanes.
-type FleetBatchStats struct {
-	Batches  int64
-	Admitted int64
-	MeanSize float64
-}
-
-// BatchStats totals the scheduler's cross-rule batching.
-func (f *Fleet) BatchStats() FleetBatchStats {
-	st := f.sched.BatchStats()
-	return FleetBatchStats{Batches: st.Batches, Admitted: st.Admitted, MeanSize: st.MeanSize}
 }
 
 // fleetTopologySpec is the JSON topology schema of LoadFleetTopology (and

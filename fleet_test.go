@@ -295,16 +295,16 @@ func TestFleetQuotaUnderChaos(t *testing.T) {
 	for _, ln := range lanes {
 		if ln.Cap > 0 && ln.MaxInflight > ln.Cap {
 			t.Fatalf("lane %s/%s over-admitted: max inflight %d > cap %d",
-				ln.Provider, ln.Region, ln.MaxInflight, ln.Cap)
+				ln.Lane.Provider, ln.Lane.Region, ln.MaxInflight, ln.Cap)
 		}
 		if ln.Forced != 0 {
 			t.Fatalf("lane %s/%s took %d forced admissions; the stall guard must stay cold",
-				ln.Provider, ln.Region, ln.Forced)
+				ln.Lane.Provider, ln.Lane.Region, ln.Forced)
 		}
 	}
 	var aws FleetLaneStats
 	for _, ln := range lanes {
-		if ln.Region == "aws:us-east-1" {
+		if ln.Lane.Region == "aws:us-east-1" {
 			aws = ln
 		}
 	}

@@ -8,11 +8,16 @@ import (
 	"strconv"
 	"time"
 
-	areplica "repro"
 	"repro/internal/cloud"
+	"repro/internal/core"
+	"repro/internal/fleet"
+	"repro/internal/model"
+	"repro/internal/objstore"
 	"repro/internal/oracle"
 	"repro/internal/simclock"
+	"repro/internal/simrand"
 	"repro/internal/trace"
+	"repro/internal/world"
 )
 
 // The two fleet presets. Each is one scenario shape — bucket names, trace
@@ -66,7 +71,7 @@ type fleetPreset struct {
 	// otherwise sizes are only clamped.
 	quantize bool
 	// opts are the shared quotas; ProfileRounds 0 follows FleetConfig.Quick.
-	opts areplica.FleetOptions
+	opts core.FleetOptions
 }
 
 var fleetPresets = map[string]fleetPreset{
@@ -75,7 +80,7 @@ var fleetPresets = map[string]fleetPreset{
 		traceSeed: "fleet-hundred",
 		full:      fleetSize{rules: 100, duration: 15 * time.Minute, ops: 4500},
 		quick:     fleetSize{rules: 100, duration: 4 * time.Minute, ops: 600},
-		opts:      areplica.FleetOptions{FaaSConcurrency: 64, KVOpsPerSec: 400},
+		opts:      core.FleetOptions{FaaSConcurrency: 64, KVOpsPerSec: 400},
 	},
 	// Quotas wide enough that the day's bursts queue briefly instead of
 	// dead-lettering.
@@ -86,7 +91,7 @@ var fleetPresets = map[string]fleetPreset{
 		quick:     fleetSize{rules: 120, duration: 90 * time.Minute, ops: 6000},
 		keysPerOp: 8,
 		quantize:  true,
-		opts: areplica.FleetOptions{
+		opts: core.FleetOptions{
 			FaaSConcurrency: 256, KVOpsPerSec: 20000, LaneSlots: 64,
 			ProfileRounds: profileRounds(true), // the quick round count at every size
 		},
@@ -100,7 +105,7 @@ const fleetMaxObjectBytes = 4 * MB
 
 // FleetRuleRow is one rule's fairness account in a FleetResult.
 type FleetRuleRow struct {
-	areplica.FleetRuleStats
+	fleet.RuleStats
 	LagP99S float64
 }
 
@@ -166,9 +171,9 @@ type fleetEntry struct {
 // two 3-hop chains, a 3-region mesh (priority 1 — the interactive class),
 // and direct rules over the ordered pairs of the three regions until the
 // total reaches n.
-func fleetTopology(preset fleetPreset, n int) ([]areplica.FleetRule, []fleetEntry, error) {
+func fleetTopology(preset fleetPreset, n int) ([]core.FleetRule, []fleetEntry, error) {
 	regions := []string{string(AWSEast), string(AzureEast), string(GCPEast)}
-	var rules []areplica.FleetRule
+	var rules []core.FleetRule
 	var entries []fleetEntry
 
 	groups := preset.fanGroups
@@ -182,14 +187,14 @@ func fleetTopology(preset fleetPreset, n int) ([]areplica.FleetRule, []fleetEntr
 			bucket = fmt.Sprintf("%sfan-%03d", preset.prefix, g)
 			dstFmt = bucket + "-dst-%02d"
 		}
-		var dsts []areplica.FleetDst
+		var dsts []core.FleetDst
 		for i := 0; i < preset.fanWidth; i++ {
-			dsts = append(dsts, areplica.FleetDst{
+			dsts = append(dsts, core.FleetDst{
 				Region: regions[(g+1+i%2)%3],
 				Bucket: fmt.Sprintf(dstFmt, i),
 			})
 		}
-		fan, err := areplica.FanOut(src, bucket, dsts...)
+		fan, err := core.FanOut(src, bucket, dsts...)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -208,11 +213,11 @@ func fleetTopology(preset fleetPreset, n int) ([]areplica.FleetRule, []fleetEntr
 		{regions[1], regions[2], regions[0]},
 	} {
 		bucket := fmt.Sprintf("%schain-%c", preset.prefix, 'a'+ci)
-		hops := make([]areplica.FleetHop, len(order))
+		hops := make([]core.FleetHop, len(order))
 		for i, r := range order {
-			hops[i] = areplica.FleetHop{Region: r, Bucket: bucket}
+			hops[i] = core.FleetHop{Region: r, Bucket: bucket}
 		}
-		chain, err := areplica.Chain(hops...)
+		chain, err := core.Chain(hops...)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -222,7 +227,7 @@ func fleetTopology(preset fleetPreset, n int) ([]areplica.FleetRule, []fleetEntr
 
 	// Active-active mesh over all three regions; every member writes its
 	// own keyspace.
-	mesh, err := areplica.FullMesh(preset.prefix+"mesh", regions...)
+	mesh, err := core.FullMesh(preset.prefix+"mesh", regions...)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -248,7 +253,7 @@ func fleetTopology(preset fleetPreset, n int) ([]areplica.FleetRule, []fleetEntr
 	for i := 0; len(rules) < n; i++ {
 		p := pairs[i%len(pairs)]
 		bucket := fmt.Sprintf("%sdir-%03d", preset.prefix, i)
-		rules = append(rules, areplica.FleetRule{
+		rules = append(rules, core.FleetRule{
 			SrcRegion: p.src, SrcBucket: bucket,
 			DstRegion: p.dst, DstBucket: bucket + "-replica",
 		})
@@ -308,12 +313,12 @@ func RunFleet(cfg FleetConfig) (*FleetResult, error) {
 		return nil, err
 	}
 
-	sim := areplica.NewSim()
+	w := world.New()
 	opts := preset.opts
 	if opts.ProfileRounds == 0 {
 		opts.ProfileRounds = profileRounds(cfg.Quick)
 	}
-	fl, err := sim.DeployFleet(rules, opts)
+	fl, err := core.DeployFleet(w, model.New(), nil, rules, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -332,11 +337,11 @@ func RunFleet(cfg FleetConfig) (*FleetResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		w, err := oracle.Watch(sim.World().Region(rid).Obj, r.DstBucket)
+		wt, err := oracle.Watch(w.Region(rid).Obj, r.DstBucket)
 		if err != nil {
 			return nil, err
 		}
-		watchers = append(watchers, w)
+		watchers = append(watchers, wt)
 	}
 
 	tcfg := trace.DefaultConfig(size.duration, float64(size.ops)/size.duration.Minutes())
@@ -353,27 +358,29 @@ func RunFleet(cfg FleetConfig) (*FleetResult, error) {
 		}
 	}
 
-	costBefore := sim.CostTotal()
-	virtStart := sim.Now()
-	trace.Replay(sim.World().Clock, ops, func(op trace.Op) {
+	costBefore := w.Meter.Total()
+	virtStart := w.Clock.Now()
+	trace.Replay(w.Clock, ops, func(op trace.Op) {
 		e := entries[keyShard(op.Key, len(entries))]
 		key := e.prefix + op.Key
+		obj := w.Region(cloud.RegionID(e.region)).Obj
 		if op.Type == trace.OpDelete {
 			// Deleting a never-written key is a no-op, as in the real service.
-			_ = sim.DeleteObject(e.region, e.bucket, key)
+			_ = obj.Delete(e.bucket, key)
 			return
 		}
-		if _, err := sim.PutObject(e.region, e.bucket, key, op.Size); err != nil {
+		seed := uint64(simrand.Seed(e.region, e.bucket, key, w.Clock.Now().String()))
+		if _, err := obj.Put(e.bucket, key, objstore.BlobOfSize(op.Size, seed)); err != nil {
 			panic(err)
 		}
 	})
-	sim.Wait()
+	w.Clock.Quiesce()
 	redriven := 0
 	for i := 0; i < 3 && fl.DLQTotal() > 0; i++ {
 		redriven += fl.RedriveAll()
-		sim.Wait()
+		w.Clock.Quiesce()
 	}
-	virtSecs := simclock.ToSeconds(sim.Now().Sub(virtStart))
+	virtSecs := simclock.ToSeconds(w.Clock.Now().Sub(virtStart))
 	fl.PollMonitors()
 
 	res := &FleetResult{
@@ -383,13 +390,13 @@ func RunFleet(cfg FleetConfig) (*FleetResult, error) {
 		Ops:          len(ops),
 		Pending:      fl.PendingTotal(),
 		DLQ:          fl.DLQTotal(),
-		CostUSD:      sim.CostTotal() - costBefore,
+		CostUSD:      w.Meter.Total() - costBefore,
 		VirtualHours: virtSecs / 3600,
 		Redriven:     redriven,
 	}
-	for _, w := range watchers {
-		res.ReplicatedObjects += w.Replicas()
-		res.DupFinalWrites += w.Duplicates()
+	for _, wt := range watchers {
+		res.ReplicatedObjects += wt.Replicas()
+		res.DupFinalWrites += wt.Duplicates()
 	}
 	div, audited, err := fl.Diverged()
 	if err != nil {
@@ -402,15 +409,11 @@ func RunFleet(cfg FleetConfig) (*FleetResult, error) {
 
 	lag := make(map[string]float64, fl.Size())
 	for _, id := range fl.RuleIDs() {
-		h, herr := fl.Rule(id).Health()
-		if herr != nil {
-			return nil, herr
-		}
-		lag[id] = h.LagP99S
+		lag[id] = fl.Service(id).Monitor.Health().LagP99S
 	}
 	first := true
 	for _, st := range fl.SchedStats() {
-		row := FleetRuleRow{FleetRuleStats: st, LagP99S: lag[st.Rule]}
+		row := FleetRuleRow{RuleStats: st, LagP99S: lag[st.Rule]}
 		res.PerRule = append(res.PerRule, row)
 		res.Admits += st.Admits
 		res.Defers += st.Defers

@@ -51,6 +51,7 @@ var (
 	ErrNoSuchKey          = errors.New("objstore: no such key")
 	ErrNoSuchUpload       = errors.New("objstore: no such multipart upload")
 	ErrPreconditionFailed = errors.New("objstore: precondition failed")
+	ErrBucketExists       = errors.New("objstore: bucket already exists")
 )
 
 // EventType distinguishes object notifications.
@@ -331,7 +332,7 @@ func (s *Store) CreateBucket(name string, versioning bool) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if _, ok := s.buckets[name]; ok {
-		return fmt.Errorf("objstore: bucket %q already exists", name)
+		return fmt.Errorf("%w: %q", ErrBucketExists, name)
 	}
 	s.buckets[name] = &bucket{name: name, versioning: versioning, objects: make(map[string]*Object)}
 	return nil

@@ -173,8 +173,8 @@ func TestMissingBucketErrors(t *testing.T) {
 	if err := s.Subscribe("nope", func(Event) {}); !errors.Is(err, ErrNoSuchBucket) {
 		t.Errorf("subscribe: %v", err)
 	}
-	if err := s.CreateBucket("b", false); err == nil {
-		t.Error("duplicate bucket create should fail")
+	if err := s.CreateBucket("b", false); !errors.Is(err, ErrBucketExists) {
+		t.Errorf("duplicate bucket create: %v, want ErrBucketExists", err)
 	}
 }
 

@@ -13,13 +13,10 @@
 package trace
 
 import (
-	"encoding/csv"
 	"fmt"
-	"io"
 	"math"
 	"math/rand"
 	"sort"
-	"strconv"
 	"time"
 
 	"repro/internal/simclock"
@@ -273,54 +270,4 @@ func ThroughputSeries(ops []Op) []float64 {
 		series[i] /= 60 * 1e6 // bytes/min -> MB/s
 	}
 	return series
-}
-
-// WriteCSV serializes a trace as "at_ms,op,key,size" rows.
-func WriteCSV(w io.Writer, ops []Op) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write([]string{"at_ms", "op", "key", "size"}); err != nil {
-		return err
-	}
-	for _, op := range ops {
-		err := cw.Write([]string{
-			strconv.FormatInt(op.At.Milliseconds(), 10),
-			string(op.Type), op.Key, strconv.FormatInt(op.Size, 10),
-		})
-		if err != nil {
-			return err
-		}
-	}
-	cw.Flush()
-	return cw.Error()
-}
-
-// ReadCSV parses a trace written by WriteCSV.
-func ReadCSV(r io.Reader) ([]Op, error) {
-	cr := csv.NewReader(r)
-	rows, err := cr.ReadAll()
-	if err != nil {
-		return nil, err
-	}
-	if len(rows) == 0 {
-		return nil, fmt.Errorf("trace: empty csv")
-	}
-	var ops []Op
-	for i, row := range rows[1:] {
-		if len(row) != 4 {
-			return nil, fmt.Errorf("trace: row %d has %d fields", i+2, len(row))
-		}
-		ms, err := strconv.ParseInt(row[0], 10, 64)
-		if err != nil {
-			return nil, fmt.Errorf("trace: row %d at_ms: %w", i+2, err)
-		}
-		size, err := strconv.ParseInt(row[3], 10, 64)
-		if err != nil {
-			return nil, fmt.Errorf("trace: row %d size: %w", i+2, err)
-		}
-		ops = append(ops, Op{
-			At: time.Duration(ms) * time.Millisecond, Type: OpType(row[1]),
-			Key: row[2], Size: size,
-		})
-	}
-	return ops, nil
 }

@@ -1,7 +1,6 @@
 package trace
 
 import (
-	"bytes"
 	"sync"
 	"testing"
 	"time"
@@ -154,30 +153,6 @@ func TestThroughputSeries(t *testing.T) {
 	}
 	if nonzero < len(series)/2 {
 		t.Fatal("throughput mostly zero")
-	}
-}
-
-func TestCSVRoundTrip(t *testing.T) {
-	ops := Generate(DefaultConfig(5*time.Minute, 100))
-	var buf bytes.Buffer
-	if err := WriteCSV(&buf, ops); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadCSV(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(ops) {
-		t.Fatalf("%d != %d ops", len(got), len(ops))
-	}
-	for i := range got {
-		// Millisecond truncation in the CSV format.
-		if got[i].Key != ops[i].Key || got[i].Size != ops[i].Size || got[i].Type != ops[i].Type {
-			t.Fatalf("op %d mismatch: %+v vs %+v", i, got[i], ops[i])
-		}
-	}
-	if _, err := ReadCSV(bytes.NewReader(nil)); err == nil {
-		t.Fatal("empty csv should error")
 	}
 }
 
