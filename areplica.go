@@ -249,12 +249,6 @@ type Rule struct {
 	Monitor bool
 	// LagTarget is the monitored per-event lag objective (default 30s).
 	LagTarget time.Duration
-	// LagObjective is the fraction of events that must replicate within
-	// LagTarget (default 0.99).
-	LagObjective float64
-	// MaxDLQ is the dead-letter depth above which the monitor pages
-	// (default 0: any parked event pages).
-	MaxDLQ int
 
 	// ProfileRounds overrides profiling effort (default 12 samples per
 	// parameter).
@@ -298,15 +292,11 @@ func (s *Sim) Deploy(r Rule) (*Replication, error) {
 		ScrubCadence:    r.ScrubCadence,
 		DivergenceSLO:   r.DivergenceSLO,
 		EnableMonitor:   r.Monitor,
-		MonitorSLO: fleetobs.SLO{
-			LagTarget: r.LagTarget,
-			Objective: r.LagObjective,
-			MaxDLQ:    r.MaxDLQ,
-		},
-		Events:        s.events,
-		Relays:        relays,
-		ProfileRounds: r.ProfileRounds,
-		Model:         s.model, // deployments share profiling work
+		LagTarget:       r.LagTarget,
+		Events:          s.events,
+		Relays:          relays,
+		ProfileRounds:   r.ProfileRounds,
+		Model:           s.model, // deployments share profiling work
 	})
 	if err != nil {
 		return nil, err

@@ -22,6 +22,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"io"
+	"math"
 	"os"
 	"slices"
 	"sort"
@@ -577,7 +578,7 @@ func parseSize(s string) (int64, error) {
 		u = strings.TrimSuffix(u, "B")
 	}
 	n, err := strconv.ParseInt(strings.TrimSpace(u), 10, 64)
-	if err != nil || n <= 0 {
+	if err != nil || n <= 0 || n > math.MaxInt64/mult {
 		return 0, fmt.Errorf("invalid size %q", s)
 	}
 	return n * mult, nil

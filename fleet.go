@@ -8,6 +8,7 @@ package areplica
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"time"
@@ -147,13 +148,17 @@ type fleetMeshSpec struct {
 
 // LoadFleetTopology parses a JSON topology (direct rules plus fanout,
 // chain and mesh groups) into deployable rules and options. Unknown
-// fields are errors, so typos in a topology file surface instead of
-// silently deploying something else.
+// fields and anything after the topology object are errors, so typos in
+// a topology file surface instead of silently deploying something else.
 func LoadFleetTopology(r io.Reader) ([]FleetRule, FleetOptions, error) {
 	dec := json.NewDecoder(r)
 	dec.DisallowUnknownFields()
 	var spec fleetTopologySpec
-	if err := dec.Decode(&spec); err != nil {
+	err := dec.Decode(&spec)
+	if err == nil && dec.Decode(&struct{}{}) != io.EOF {
+		err = errors.New("trailing data after the topology object")
+	}
+	if err != nil {
 		return nil, FleetOptions{}, fmt.Errorf("areplica: fleet topology: %w", err)
 	}
 	opts := FleetOptions{

@@ -219,6 +219,19 @@ func TestLoadFleetTopology(t *testing.T) {
 	if _, _, err := LoadFleetTopology(strings.NewReader(`{}`)); err == nil {
 		t.Fatal("empty topology should be rejected")
 	}
+	if _, _, err := LoadFleetTopology(strings.NewReader(spec + "\n")); err != nil {
+		t.Fatalf("trailing whitespace rejected: %v", err)
+	}
+	for name, trailing := range map[string]string{
+		"second topology": spec + spec,
+		"stray brace":     spec + "}",
+		"empty object":    spec + "{}",
+	} {
+		_, _, err := LoadFleetTopology(strings.NewReader(trailing))
+		if err == nil || !strings.HasPrefix(err.Error(), "areplica: fleet topology: ") {
+			t.Errorf("%s after the topology: err = %v, want a wrapped fleet topology error", name, err)
+		}
+	}
 }
 
 // runSharedLaneChaosFleet deploys two rules sharing the aws:us-east-1

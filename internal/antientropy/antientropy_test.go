@@ -355,3 +355,49 @@ func TestScrubStartLoopTerminates(t *testing.T) {
 		t.Fatalf("loop ran %d rounds, want >= 2", v)
 	}
 }
+
+// TestRunUntilCleanRoundCap: a tracker entry that never resolves keeps
+// every round unclean, so RunUntilClean stops at its 32-round cap and
+// reports the failure instead of looping forever.
+func TestRunUntilCleanRoundCap(t *testing.T) {
+	w, svc := deployScrubbed(t, nil)
+	svc.Engine.Tracker.OnSource(objstore.Event{
+		Type: objstore.EventPut, Key: "never-replicates", Seq: 1, Size: 1, Time: w.Clock.Now(),
+	})
+	ran, _, err := svc.Scrubber.RunUntilClean()
+	if ran != 32 || err == nil {
+		t.Fatalf("RunUntilClean = %d rounds, err %v; want the 32-round cap and an error", ran, err)
+	}
+}
+
+// TestScrubRoundCollectsOrphanedMPUs: every scrub round garbage-collects
+// the rule's multipart uploads older than the 15-minute grace and leaves
+// younger ones, whose checkpoint may not be written yet, alone.
+func TestScrubRoundCollectsOrphanedMPUs(t *testing.T) {
+	w, svc := deployScrubbed(t, nil)
+	dst := w.Region(dstID).Obj
+	origin := engine.OriginFor(srcID, srcBucket, dstID, dstBucket)
+	orphan, err := dst.CreateMultipartWithOrigin(dstBucket, "orphan.bin", origin)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w.Clock.Sleep(16 * time.Minute)
+	fresh, err := dst.CreateMultipartWithOrigin(dstBucket, "fresh.bin", origin)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	rep, err := svc.Scrubber.RunOnce()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.MPUsAborted != 1 {
+		t.Fatalf("scrub round aborted %d uploads, want only the aged orphan", rep.MPUsAborted)
+	}
+	if _, err := dst.HeadMultipart(orphan); err == nil {
+		t.Fatal("aged orphan upload survived the scrub round")
+	}
+	if _, err := dst.HeadMultipart(fresh); err != nil {
+		t.Fatal("scrub round aborted an upload younger than the grace")
+	}
+}

@@ -1,6 +1,6 @@
 // Merkle-tree construction and diffing for the anti-entropy scrubber.
 //
-// A bucket listing is partitioned into L leaves by the high bits of each
+// A bucket listing is partitioned into L = F² leaves by the high bits of each
 // key's 64-bit FNV-1a hash — contiguous prefix ranges of the hash keyspace,
 // so the partition is deterministic, independent of object count, and
 // tolerant of key skew. Leaves roll up through one internal level of
@@ -46,9 +46,8 @@ func keyHash(key string) uint64 {
 
 // tree is one side's Merkle tree over a bucket listing.
 type tree struct {
-	fanout int
 	leaves []uint64 // digest per leaf
-	groups []uint64 // digest per internal node (len = len(leaves)/fanout)
+	groups []uint64 // digest per internal node (len = fanout)
 	root   uint64
 	member [][]member // members per leaf, sorted by key
 }
@@ -64,14 +63,13 @@ func leafIndex(h uint64, leaves int) int {
 // so a streaming consumer (one LIST page at a time) never materializes
 // the full []Meta — only the per-leaf member sets the tree needs anyway.
 type treeBuilder struct {
-	fanout int
 	member [][]member
 	ageAt  func(objstore.Meta) float64
 	count  int
 }
 
-func newTreeBuilder(leaves, fanout int, ageAt func(objstore.Meta) float64) *treeBuilder {
-	return &treeBuilder{fanout: fanout, member: make([][]member, leaves), ageAt: ageAt}
+func newTreeBuilder(ageAt func(objstore.Meta) float64) *treeBuilder {
+	return &treeBuilder{member: make([][]member, fanout*fanout), ageAt: ageAt}
 }
 
 // add places one listed object in its leaf. Ages are evaluated at add
@@ -86,11 +84,9 @@ func (b *treeBuilder) add(m objstore.Meta) {
 
 // finish computes the digest hierarchy over the accumulated members.
 func (b *treeBuilder) finish() *tree {
-	leaves := len(b.member)
 	t := &tree{
-		fanout: b.fanout,
-		leaves: make([]uint64, leaves),
-		groups: make([]uint64, leaves/b.fanout),
+		leaves: make([]uint64, fanout*fanout),
+		groups: make([]uint64, fanout),
 		member: b.member,
 	}
 	var buf [digestBytes]byte
@@ -107,7 +103,7 @@ func (b *treeBuilder) finish() *tree {
 	}
 	for g := range t.groups {
 		h := fnv.New64a()
-		for _, d := range t.leaves[g*b.fanout : (g+1)*b.fanout] {
+		for _, d := range t.leaves[g*fanout : (g+1)*fanout] {
 			binary.BigEndian.PutUint64(buf[:], d)
 			h.Write(buf[:])
 		}
@@ -144,8 +140,8 @@ func descend(src, dst *tree) (d divergence, xferBytes int64, leavesCompared, lea
 		if src.groups[g] == dst.groups[g] {
 			continue
 		}
-		xferBytes += int64(src.fanout) * digestBytes
-		for i := g * src.fanout; i < (g+1)*src.fanout; i++ {
+		xferBytes += fanout * digestBytes
+		for i := g * fanout; i < (g+1)*fanout; i++ {
 			leavesCompared++
 			if src.leaves[i] == dst.leaves[i] {
 				continue

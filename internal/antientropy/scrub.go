@@ -34,45 +34,40 @@ import (
 	"repro/internal/world"
 )
 
-// Defaults.
+// Scrubber constants.
 const (
-	DefaultCadence        = 60 * time.Second
-	DefaultFanout         = 16
-	DefaultOrphanGrace    = 30 * time.Second
-	DefaultStopAfterClean = 2
-	DefaultMaxRounds      = 32
-	DefaultMPUGrace       = 15 * time.Minute
+	// defaultCadence is the round interval when neither Cadence nor
+	// DivergenceSLO is set.
+	defaultCadence = 60 * time.Second
+	// fanout is the internal-node fan-out F; the tree has F*F = 256 leaves.
+	fanout = 16
+	// orphanGrace protects freshly replicated objects from the orphan-
+	// delete race: a destination key missing at the source is only
+	// deleted once its destination version is older than the grace.
+	orphanGrace = 30 * time.Second
+	// stopAfterClean ends the Start loop and RunUntilClean after this many
+	// consecutive clean rounds with an idle engine, so Quiesce can drain
+	// the simulation (the loop would otherwise re-arm its timer forever).
+	stopAfterClean = 2
+	// maxRounds bounds RunUntilClean.
+	maxRounds = 32
+	// mpuGrace is the minimum age before an in-progress multipart upload
+	// with no live checkpoint is considered orphaned and aborted —
+	// comfortably past any live task's create-MPU → checkpoint window and
+	// the engine's retry/redrive horizon.
+	mpuGrace = 15 * time.Minute
 )
 
 // Config tunes one rule's scrubber.
 type Config struct {
 	// Cadence is the virtual-time interval between scrub rounds. Zero
-	// derives it from DivergenceSLO (SLO/2), or DefaultCadence.
+	// derives it from DivergenceSLO (SLO/2), or defaultCadence.
 	Cadence time.Duration
 	// DivergenceSLO is the declared bound on how long a divergent key may
 	// stay unrepaired. It is a reporting target, not an enforcement knob:
 	// Report.SLOViolations counts repairs whose source version was already
 	// older than the SLO when the scrubber found it.
 	DivergenceSLO time.Duration
-	// Fanout is the internal-node fan-out F; the tree has F*F leaves
-	// (default 16 -> 256 leaves).
-	Fanout int
-	// OrphanGrace protects freshly replicated objects from the orphan-
-	// delete race: a destination key missing at the source is only deleted
-	// once its destination version is older than the grace (default 30s).
-	OrphanGrace time.Duration
-	// StopAfterClean ends the Start loop after this many consecutive clean
-	// rounds with an idle engine, so Quiesce can drain the simulation
-	// (default 2; the loop would otherwise re-arm its timer forever).
-	StopAfterClean int
-	// MaxRounds bounds RunUntilClean (default 32).
-	MaxRounds int
-	// MPUGrace is the minimum age before an in-progress multipart upload
-	// with no live checkpoint is considered orphaned and aborted (default
-	// 15 minutes — comfortably past any live task's create-MPU →
-	// checkpoint window and the engine's retry/redrive horizon). Negative
-	// disables the MPU garbage collector.
-	MPUGrace time.Duration
 }
 
 func (c Config) withDefaults() Config {
@@ -80,23 +75,8 @@ func (c Config) withDefaults() Config {
 		if c.DivergenceSLO > 0 {
 			c.Cadence = c.DivergenceSLO / 2
 		} else {
-			c.Cadence = DefaultCadence
+			c.Cadence = defaultCadence
 		}
-	}
-	if c.Fanout <= 1 {
-		c.Fanout = DefaultFanout
-	}
-	if c.OrphanGrace <= 0 {
-		c.OrphanGrace = DefaultOrphanGrace
-	}
-	if c.StopAfterClean <= 0 {
-		c.StopAfterClean = DefaultStopAfterClean
-	}
-	if c.MaxRounds <= 0 {
-		c.MaxRounds = DefaultMaxRounds
-	}
-	if c.MPUGrace == 0 {
-		c.MPUGrace = DefaultMPUGrace
 	}
 	return c
 }
@@ -188,12 +168,6 @@ func New(eng *engine.Engine, cfg Config) *Scrubber {
 // monitor's divergence signal.
 func (s *Scrubber) SLOViolationCount() int64 { return s.sloViolations.Value() }
 
-// Config returns the effective (defaulted) configuration.
-func (s *Scrubber) Config() Config { return s.cfg }
-
-// Cadence returns the effective scrub interval.
-func (s *Scrubber) Cadence() time.Duration { return s.cfg.Cadence }
-
 // Stop makes a running Start loop exit after its current round.
 func (s *Scrubber) Stop() {
 	s.mu.lock()
@@ -208,7 +182,7 @@ func (s *Scrubber) isStopped() bool {
 }
 
 // Start launches the periodic scrub loop as a clock actor: every Cadence it
-// runs one round, and it exits after StopAfterClean consecutive clean
+// runs one round, and it exits after stopAfterClean consecutive clean
 // rounds (or Stop). Self-termination keeps Quiesce well-defined — a loop
 // that re-armed its timer forever would hold the virtual clock open.
 func (s *Scrubber) Start() {
@@ -228,21 +202,21 @@ func (s *Scrubber) Start() {
 			} else {
 				clean = 0
 			}
-			if clean >= s.cfg.StopAfterClean {
+			if clean >= stopAfterClean {
 				return
 			}
 		}
 	})
 }
 
-// RunUntilClean runs scrub rounds Cadence apart until StopAfterClean
-// consecutive rounds are clean (or MaxRounds is hit), returning the rounds
+// RunUntilClean runs scrub rounds Cadence apart until stopAfterClean
+// consecutive rounds are clean (or maxRounds is hit), returning the rounds
 // run and the last report. The caller must be a clock actor (the main
 // driver goroutine qualifies).
 func (s *Scrubber) RunUntilClean() (int, Report, error) {
 	clean, ran := 0, 0
 	var last Report
-	for ran < s.cfg.MaxRounds {
+	for ran < maxRounds {
 		rep, err := s.RunOnce()
 		ran++
 		if err != nil {
@@ -255,7 +229,7 @@ func (s *Scrubber) RunUntilClean() (int, Report, error) {
 				clean = 0
 			}
 		}
-		if clean >= s.cfg.StopAfterClean {
+		if clean >= stopAfterClean {
 			return ran, last, nil
 		}
 		s.w.Clock.Sleep(s.cfg.Cadence)
@@ -328,17 +302,15 @@ func (s *Scrubber) RunOnce() (Report, error) {
 	// destination-side invocation — the serverless stand-in for a bucket
 	// lifecycle rule. Uploads a live checkpoint references are left alone;
 	// everything older than the grace is aborted and its bytes reclaimed.
-	if s.cfg.MPUGrace >= 0 {
-		ggroup := clock.NewGroup(1)
-		dst.Fn.InvokeSpan(root, 1, func(ctx *faas.Ctx) {
-			defer ggroup.Done()
-			gsp := ctx.Span.Child("scrub-gc-mpus")
-			rep.MPUsAborted, rep.MPUBytesReclaimed = s.eng.GCOrphanedMPUs(s.cfg.MPUGrace)
-			gsp.Set("aborted", rep.MPUsAborted).Set("bytes", rep.MPUBytesReclaimed)
-			gsp.End()
-		})
-		ggroup.Wait()
-	}
+	ggroup := clock.NewGroup(1)
+	dst.Fn.InvokeSpan(root, 1, func(ctx *faas.Ctx) {
+		defer ggroup.Done()
+		gsp := ctx.Span.Child("scrub-gc-mpus")
+		rep.MPUsAborted, rep.MPUBytesReclaimed = s.eng.GCOrphanedMPUs(mpuGrace)
+		gsp.Set("aborted", rep.MPUsAborted).Set("bytes", rep.MPUBytesReclaimed)
+		gsp.End()
+	})
+	ggroup.Wait()
 
 	rep.Divergent = rep.Missing + rep.Stale + rep.Orphans
 	rep.Clean = rep.Divergent == 0 && s.eng.Tracker.PendingCount() == 0
@@ -358,8 +330,7 @@ func (s *Scrubber) RunOnce() (Report, error) {
 func (s *Scrubber) buildSide(ctx *faas.Ctx, region cloud.RegionID, bucket, label string) (*tree, int, error) {
 	clock := s.w.Clock
 	lsp := ctx.Span.Child("scrub-list-" + label)
-	leaves := s.cfg.Fanout * s.cfg.Fanout
-	bld := newTreeBuilder(leaves, s.cfg.Fanout, func(m objstore.Meta) float64 {
+	bld := newTreeBuilder(func(m objstore.Meta) float64 {
 		return clock.Now().Sub(m.Created).Seconds()
 	})
 	var pages int
@@ -400,7 +371,7 @@ func (s *Scrubber) buildSide(ctx *faas.Ctx, region cloud.RegionID, bucket, label
 	kv.Put(s.table, label+":groups", kvstore.Item{"d": hexDigests(t.groups)})
 	for g := 0; g < len(t.groups); g++ {
 		kv.Put(s.table, fmt.Sprintf("%s:leaves-%d", label, g),
-			kvstore.Item{"d": hexDigests(t.leaves[g*s.cfg.Fanout : (g+1)*s.cfg.Fanout])})
+			kvstore.Item{"d": hexDigests(t.leaves[g*fanout : (g+1)*fanout])})
 	}
 	ssp.End()
 	return t, pages, nil
@@ -473,7 +444,7 @@ func (s *Scrubber) compareAndRepair(ctx *faas.Ctx, round int, srcTree, dstTree *
 		// The orphan-delete race: a key PUT after the source listing can
 		// already be replicated when the comparison runs. Only versions
 		// older than the grace window are really orphans.
-		if m.Age < s.cfg.OrphanGrace.Seconds() {
+		if m.Age < orphanGrace.Seconds() {
 			continue
 		}
 		rep.Orphans++

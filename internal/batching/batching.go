@@ -42,7 +42,6 @@ type Stats struct {
 type Batcher struct {
 	clock    *simclock.Clock
 	slo      time.Duration
-	epsilon  time.Duration
 	estimate EstimateFn
 	head     HeadFn
 	dispatch DispatchFn
@@ -54,16 +53,14 @@ type Batcher struct {
 	stats      Stats
 }
 
-// New returns a Batcher. epsilon is the safety margin subtracted from the
-// deadline (default 1s when zero).
-func New(clock *simclock.Clock, slo time.Duration, epsilon time.Duration, estimate EstimateFn, head HeadFn, dispatch DispatchFn) *Batcher {
-	if epsilon <= 0 {
-		epsilon = time.Second
-	}
+// epsilon is the safety margin subtracted from each deadline.
+const epsilon = time.Second
+
+// New returns a Batcher.
+func New(clock *simclock.Clock, slo time.Duration, estimate EstimateFn, head HeadFn, dispatch DispatchFn) *Batcher {
 	return &Batcher{
 		clock:      clock,
 		slo:        slo,
-		epsilon:    epsilon,
 		estimate:   estimate,
 		head:       head,
 		dispatch:   dispatch,
@@ -98,7 +95,7 @@ func (b *Batcher) Submit(ev objstore.Event) {
 	deadline := ev.Time.Add(b.slo)
 	est := b.estimate(ev.Size)
 	now := b.clock.Now()
-	if now.Add(est + b.epsilon).After(deadline) {
+	if now.Add(est + epsilon).After(deadline) {
 		// No slack: replicate immediately (Algorithm 4's deadline branch).
 		b.mu.Lock()
 		b.stats.Immediate++
@@ -109,7 +106,7 @@ func (b *Batcher) Submit(ev objstore.Event) {
 	b.mu.Lock()
 	b.stats.Delayed++
 	b.mu.Unlock()
-	b.delay(deadline.Sub(now)-est-b.epsilon, func() { b.timerFired(ev) })
+	b.delay(deadline.Sub(now)-est-epsilon, func() { b.timerFired(ev) })
 }
 
 // timerFired re-examines a delayed version: if a newer version has already

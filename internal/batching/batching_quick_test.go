@@ -28,7 +28,7 @@ func TestBatcherDeadlineProperty(t *testing.T) {
 		}
 		var outMu sync.Mutex
 		var out []dispatched
-		b := New(h.clock, slo, time.Second,
+		b := New(h.clock, slo,
 			func(int64) time.Duration { return est },
 			h.head, func(ev objstore.Event) {
 				outMu.Lock()

@@ -53,7 +53,7 @@ func (h *harness) dispatched() []objstore.Event {
 }
 
 func (h *harness) batcher(slo time.Duration, est time.Duration) *Batcher {
-	return New(h.clock, slo, time.Second,
+	return New(h.clock, slo,
 		func(int64) time.Duration { return est },
 		h.head, h.dispatch)
 }

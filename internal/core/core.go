@@ -38,8 +38,6 @@ type Options struct {
 	// EnableBatching turns on SLO-bounded batching (§5.4, Algorithm 4);
 	// it requires a positive Rule.SLO.
 	EnableBatching bool
-	// BatchEpsilon is the batcher's deadline safety margin (default 1s).
-	BatchEpsilon time.Duration
 
 	// Relays are optional overlay execution regions the planner may pick
 	// (§6's extension); they are profiled alongside the rule's own paths.
@@ -73,9 +71,8 @@ type Options struct {
 	// with quiet phases should also call Service.Monitor.Poll at their
 	// loop points so fault windows where nothing completes still alert.
 	EnableMonitor bool
-	// MonitorSLO declares the rule's objectives (zero fields default; see
-	// fleetobs.SLO).
-	MonitorSLO fleetobs.SLO
+	// LagTarget is the monitored per-event lag objective (default 30s).
+	LagTarget time.Duration
 	// Events, when non-nil, receives the monitor's structured alert
 	// events; several services may share one log.
 	Events *fleetobs.EventLog
@@ -196,14 +193,14 @@ func Deploy(w *world.World, opts Options) (*Service, error) {
 	}
 	if opts.EnableMonitor {
 		mc := fleetobs.MonitorConfig{
-			Rule:     eng.RuleID(),
-			Dest:     string(rule.Dst),
-			Now:      w.Clock.Now,
-			SLO:      opts.MonitorSLO,
-			Log:      opts.Events,
-			Tracker:  eng.Tracker,
-			LagHist:  eng.LagHistogram(),
-			DLQDepth: func() int { return len(eng.DLQ()) },
+			Rule:      eng.RuleID(),
+			Dest:      string(rule.Dst),
+			Now:       w.Clock.Now,
+			LagTarget: opts.LagTarget,
+			Log:       opts.Events,
+			Tracker:   eng.Tracker,
+			LagHist:   eng.LagHistogram(),
+			DLQDepth:  func() int { return len(eng.DLQ()) },
 		}
 		if s.Scrubber != nil {
 			mc.Divergence = s.Scrubber.SLOViolationCount
@@ -216,7 +213,7 @@ func Deploy(w *world.World, opts Options) (*Service, error) {
 		head := func(key string) (objstore.Meta, error) {
 			return w.Region(rule.Src).Obj.Head(rule.SrcBucket, key)
 		}
-		s.Batcher = batching.New(w.Clock, rule.SLO, opts.BatchEpsilon, s.estimate, head, eng.Dispatch)
+		s.Batcher = batching.New(w.Clock, rule.SLO, s.estimate, head, eng.Dispatch)
 		// Delayed tasks run on the source region's serverless workflow
 		// service (§7), so their Wait states are billed.
 		s.Batcher.SetDelayer(w.Region(rule.Src).Wf.Delay)

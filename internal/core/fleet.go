@@ -162,9 +162,6 @@ type FleetOptions struct {
 	FaaSConcurrency int
 	// KVOpsPerSec caps each lane's shared KV throughput (0 = uncapped).
 	KVOpsPerSec float64
-	// StallGuard is the ledger's forced-admission escape window (see
-	// fleet.QuotaConfig; default 2 virtual minutes).
-	StallGuard time.Duration
 
 	// LaneSlots bounds concurrent scheduled dispatches per source lane
 	// (default 16, clamped to FaaSConcurrency when that is lower).
@@ -214,7 +211,6 @@ func DeployFleet(w *world.World, m *model.Model, events *fleetobs.EventLog, rule
 		ledger = fleet.NewLedger(w.Clock, w.Metrics, fleet.QuotaConfig{
 			FaaSConcurrency: opts.FaaSConcurrency,
 			KVOpsPerSec:     opts.KVOpsPerSec,
-			StallGuard:      opts.StallGuard,
 		})
 	}
 	sched := fleet.NewScheduler(w.Clock, w.Metrics, ledger, fleet.SchedConfig{
@@ -254,7 +250,7 @@ func DeployFleet(w *world.World, m *model.Model, events *fleetobs.EventLog, rule
 				AcceptOrigins: fr.AcceptOrigins,
 			},
 			EnableMonitor: true,
-			MonitorSLO:    fleetobs.SLO{LagTarget: opts.LagTarget},
+			LagTarget:     opts.LagTarget,
 			Events:        events,
 			ProfileRounds: opts.ProfileRounds,
 			Model:         m, // rules share profiling work

@@ -64,7 +64,7 @@ func TestSurvivesTransientStorageFaults(t *testing.T) {
 }
 
 // TestPermanentFaultsLandInDLQ verifies that an unrecoverable destination
-// keeps the engine from spinning: after MaxRetries the event moves to the
+// keeps the engine from spinning: after maxRetries the event moves to the
 // dead-letter queue, matching the paper's §6 behaviour.
 func TestPermanentFaultsLandInDLQ(t *testing.T) {
 	f := newFixture(t, nil)
@@ -143,8 +143,8 @@ func TestFaultRetriesConsumeVirtualClock(t *testing.T) {
 	f.put(t, "stuck", 1<<20, 1)
 	f.w.Clock.Quiesce()
 
-	if got := f.w.Metrics.Counter("engine.retries").Value(); got < 3 {
-		t.Fatalf("engine.retries = %d, want >= 3 (MaxRetries backoffs per dispatch)", got)
+	if got := f.w.Metrics.Counter("engine.retries").Value(); got < maxRetries {
+		t.Fatalf("engine.retries = %d, want >= %d (maxRetries backoffs per dispatch)", got, maxRetries)
 	}
 	// Three dispatches (original + 2 automatic redrives), each with 3
 	// backoffs of >= 250ms, plus two 30s redrive delays: well over a

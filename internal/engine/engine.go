@@ -90,10 +90,6 @@ type Rule struct {
 	// DisableAdaptiveParts pins distributed transfers to PartSize
 	// instead of letting the planner pick a per-object part size.
 	DisableAdaptiveParts bool
-	// MaxRetries bounds optimistic-validation retries before an event goes
-	// to the dead-letter queue (default 3): a task makes MaxRetries + 1
-	// attempts, spaced by retry.TaskDefault's backoff.
-	MaxRetries int
 
 	// RedriveMax caps automatic DLQ redrives per event (default 2; a
 	// negative value disables automatic redrive); an event re-enters the
@@ -131,6 +127,11 @@ type Rule struct {
 // retry of an async invocation).
 const redriveDelay = 30 * time.Second
 
+// maxRetries bounds optimistic-validation retries before an event goes to
+// the dead-letter queue: a task makes maxRetries + 1 attempts, spaced by
+// retry.TaskDefault's backoff.
+const maxRetries = 3
+
 // WithDefaults fills unset fields with the paper's defaults.
 func (r Rule) WithDefaults() Rule {
 	if r.Percentile <= 0 || r.Percentile >= 1 {
@@ -138,9 +139,6 @@ func (r Rule) WithDefaults() Rule {
 	}
 	if r.PartSize <= 0 {
 		r.PartSize = model.DefaultChunk
-	}
-	if r.MaxRetries <= 0 {
-		r.MaxRetries = 3
 	}
 	// Negative RedriveMax and HedgeBudget (disabled) are kept as they are
 	// so WithDefaults is idempotent — core.Deploy and engine.New both
@@ -735,7 +733,7 @@ func (e *Engine) replicateHeld(ctx *faas.Ctx, ev objstore.Event) uint64 {
 	clock := e.W.Clock
 	rng := simrand.New("engine-retry", e.ruleID, ev.Key, fmt.Sprint(ev.Seq))
 	policy := retry.TaskDefault()
-	policy.MaxAttempts = e.Rule.MaxRetries + 1
+	policy.MaxAttempts = maxRetries + 1
 
 	if ev.Type == objstore.EventDelete {
 		dsp := ctx.Span.Child("dst-delete")

@@ -387,7 +387,7 @@ func TestLockPendingRecorded(t *testing.T) {
 
 func TestRuleDefaults(t *testing.T) {
 	r := Rule{}.WithDefaults()
-	if r.Percentile != 0.99 || r.PartSize != 8<<20 || r.MaxRetries != 3 {
+	if r.Percentile != 0.99 || r.PartSize != 8<<20 || maxRetries != 3 {
 		t.Fatalf("defaults = %+v", r)
 	}
 	if PartPool.String() != "part-pool" || FairDispatch.String() != "fair" {
@@ -405,13 +405,13 @@ func TestRuleDefaultsIdempotent(t *testing.T) {
 		"default": Rule{}.WithDefaults(),
 		"negative": {
 			SLO: -1, Percentile: -1, PartSize: -1, Scheduling: -1, ClaimBatch: -1, HedgeBudget: -1,
-			MaxRetries: -1, RedriveMax: -1, LockLease: -1, ForceN: -1,
+			RedriveMax: -1, LockLease: -1, ForceN: -1,
 		},
 		"custom": {
 			Src: "aws:us-east-1", Dst: "azure:eastus", SrcBucket: "s", DstBucket: "d",
 			SLO: time.Minute, Percentile: 0.9, PartSize: 1 << 20, Scheduling: FairDispatch,
 			DisableDoubleBuffer: true, ClaimBatch: 3, HedgeBudget: 2, DisableAdaptiveParts: true,
-			MaxRetries: 5, RedriveMax: 4, LockLease: time.Minute, KeyPrefix: "p/", AcceptOrigins: []string{"areplica/x"},
+			RedriveMax: 4, LockLease: time.Minute, KeyPrefix: "p/", AcceptOrigins: []string{"areplica/x"},
 			ForceN: 4, ForceLoc: "aws:us-east-1",
 		},
 	} {

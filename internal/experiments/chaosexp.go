@@ -151,7 +151,7 @@ func runFaultScenario(prof chaos.Profile, spec string, objects int, quick bool, 
 	}, core.Options{
 		ProfileRounds: profileRounds(quick),
 		EnableMonitor: true,
-		MonitorSLO:    fleetobs.SLO{LagTarget: lagTarget},
+		LagTarget:     lagTarget,
 		Events:        log,
 	})
 

@@ -176,11 +176,11 @@ func TestLedgerTicketsAreFIFO(t *testing.T) {
 // counts it.
 func TestLedgerStallGuardForcesAdmission(t *testing.T) {
 	clk := simclock.New(epoch)
-	l := NewLedger(clk, nil, QuotaConfig{FaaSConcurrency: 1, StallGuard: 10 * time.Second})
+	l := NewLedger(clk, nil, QuotaConfig{FaaSConcurrency: 1})
 	l.Acquire(testLane) // never released
 	l.Acquire(testLane)
-	if waited := clk.Since(epoch); waited <= 10*time.Second || waited > 11*time.Second {
-		t.Errorf("forced admission after %v, want just past the 10 s guard", waited)
+	if waited := clk.Since(epoch); waited <= stallGuard || waited > stallGuard+time.Second {
+		t.Errorf("forced admission after %v, want just past the %v guard", waited, stallGuard)
 	}
 	if st := l.Stats(); len(st) != 1 || st[0].Forced != 1 || st[0].MaxInflight != 2 {
 		t.Errorf("lane stats %+v, want 1 forced admission above the cap", st)

@@ -49,15 +49,15 @@ type QuotaConfig struct {
 	// KVOpsPerSec is the lane's shared KV throughput budget, modelled as
 	// a virtual-time token bucket with one second of burst capacity.
 	KVOpsPerSec float64
-	// StallGuard bounds how long a saturated lane may go without a single
-	// release before the head waiter is force-admitted (counted in
-	// fleet.quota.fn.forced). It breaks cross-lane hold-and-wait cycles a
-	// pathological topology could otherwise wedge on; the default is two
-	// virtual minutes.
-	StallGuard time.Duration
 }
 
 const quotaPoll = 50 * time.Millisecond
+
+// stallGuard bounds how long a saturated lane may go without a single
+// release before the head waiter is force-admitted (counted in
+// fleet.quota.fn.forced). It breaks cross-lane hold-and-wait cycles a
+// pathological topology could otherwise wedge on.
+const stallGuard = 2 * time.Minute
 
 // Ledger tracks shared fleet quotas per lane. A nil *Ledger admits
 // everything immediately.
@@ -97,14 +97,8 @@ type lane struct {
 // NewLedger returns a Ledger enforcing cfg on every lane, instrumented
 // into reg (nil reg disables telemetry, not enforcement).
 func NewLedger(clock *simclock.Clock, reg *telemetry.Registry, cfg QuotaConfig) *Ledger {
-	if cfg.StallGuard <= 0 {
-		cfg.StallGuard = 2 * time.Minute
-	}
 	return &Ledger{clock: clock, reg: reg, cfg: cfg, lanes: make(map[LaneID]*lane)}
 }
-
-// Config returns the ledger's per-lane caps.
-func (l *Ledger) Config() QuotaConfig { return l.cfg }
 
 // lane returns (lazily creating) the lane's state. Caller must not hold mu.
 func (l *Ledger) lane(id LaneID) *lane {
@@ -158,7 +152,7 @@ func (l *Ledger) Acquire(id LaneID) {
 			if start.After(stuckSince) {
 				stuckSince = start
 			}
-			if l.clock.Now().Sub(stuckSince) > l.cfg.StallGuard {
+			if l.clock.Now().Sub(stuckSince) > stallGuard {
 				ln.forcedCount++
 				ln.fnForced.Inc()
 				break

@@ -10,44 +10,23 @@ import (
 	"repro/internal/telemetry"
 )
 
-// SLO declares one rule's objectives. The lag objective is RTC-style:
-// a fraction Objective of source events must be durable on the replica
-// within LagTarget. Burn rate is the error-budget spend speed (1.0 =
-// exactly on budget); alerts fire only when both the short and the long
-// window burn, so a single slow object cannot page while a sustained
-// fault still pages within ShortWindow.
-type SLO struct {
-	LagTarget   time.Duration // lag objective per event (default 30s)
-	Objective   float64       // in-target fraction, in (0,1) (default 0.99)
-	ShortWindow time.Duration // fast burn window (default 1m)
-	LongWindow  time.Duration // slow burn window (default 5m)
-	WarnBurn    float64       // warn when both windows burn >= this (default 2)
-	PageBurn    float64       // page when both windows burn >= this (default 10)
-	MaxDLQ      int           // page when DLQ depth exceeds this (default 0)
-}
-
-// WithDefaults fills zero fields with the defaults above.
-func (s SLO) WithDefaults() SLO {
-	if s.LagTarget <= 0 {
-		s.LagTarget = 30 * time.Second
-	}
-	if s.Objective <= 0 || s.Objective >= 1 {
-		s.Objective = 0.99
-	}
-	if s.ShortWindow <= 0 {
-		s.ShortWindow = time.Minute
-	}
-	if s.LongWindow <= 0 {
-		s.LongWindow = 5 * time.Minute
-	}
-	if s.WarnBurn <= 0 {
-		s.WarnBurn = 2
-	}
-	if s.PageBurn <= 0 {
-		s.PageBurn = 10
-	}
-	return s
-}
+// The lag objective is RTC-style: a fraction objective of source events
+// must be durable on the replica within the rule's lag target. Burn rate
+// is the error-budget spend speed (1.0 = exactly on budget); alerts fire
+// only when both the short and the long window burn, so a single slow
+// object cannot page while a sustained fault still pages within
+// shortWindow. Only the lag target is per rule.
+const (
+	defaultLagTarget = 30 * time.Second
+	// objective is the in-target fraction, typed so the error budget
+	// 1-objective is the float64 difference, not the exact decimal 0.01.
+	objective   float64 = 0.99
+	shortWindow         = time.Minute     // fast burn window
+	longWindow          = 5 * time.Minute // slow burn window
+	warnBurn            = 2               // warn when both windows burn >= this
+	pageBurn            = 10              // page when both windows burn >= this
+	maxDLQ              = 0               // page when DLQ depth exceeds this
+)
 
 // MonitorConfig wires one rule's monitor to its signal sources. Tracker
 // and Now are required; the rest are optional.
@@ -55,8 +34,10 @@ type MonitorConfig struct {
 	Rule string
 	Dest string
 	Now  func() time.Time // the virtual clock (simclock.Clock.Now)
-	SLO  SLO
 	Log  *EventLog
+
+	// LagTarget is the per-event lag objective (default 30s).
+	LagTarget time.Duration
 
 	Tracker    *engine.Tracker      // lag/backlog/oldest-age source
 	LagHist    *telemetry.Histogram // per-destination lag percentiles
@@ -96,10 +77,12 @@ type Monitor struct {
 	alerts         int
 }
 
-// NewMonitor returns a monitor with cfg's SLO defaults applied. The
-// epoch for event timestamps is the current virtual instant.
+// NewMonitor returns a monitor for cfg (a zero LagTarget takes the
+// default). The epoch for event timestamps is the current virtual instant.
 func NewMonitor(cfg MonitorConfig) *Monitor {
-	cfg.SLO = cfg.SLO.WithDefaults()
+	if cfg.LagTarget <= 0 {
+		cfg.LagTarget = defaultLagTarget
+	}
 	return &Monitor{
 		cfg:      cfg,
 		epoch:    cfg.Now(),
@@ -107,9 +90,6 @@ func NewMonitor(cfg MonitorConfig) *Monitor {
 		dlqState: StateOK,
 	}
 }
-
-// SLO returns the effective (defaulted) objectives.
-func (m *Monitor) SLO() SLO { return m.cfg.SLO }
 
 // AlertCount returns how many warn/page transitions fired so far.
 func (m *Monitor) AlertCount() int {
@@ -126,15 +106,15 @@ func (m *Monitor) AlertCount() int {
 // during a fault nothing resolves, and a window over resolved records
 // alone would read a clean 100%.
 func (m *Monitor) burns(now time.Time) (short, long float64) {
-	slo := m.cfg.SLO
-	overdue := m.cfg.Tracker.OverdueCount(now, slo.LagTarget)
-	budget := 1 - slo.Objective
+	target := m.cfg.LagTarget
+	overdue := m.cfg.Tracker.OverdueCount(now, target)
+	budget := 1 - objective
 	one := func(win time.Duration) float64 {
 		cut := now.Add(-win)
 		if cut.Before(m.epoch) {
 			cut = m.epoch
 		}
-		total, bad := m.cfg.Tracker.ResolvedStats(cut, slo.LagTarget)
+		total, bad := m.cfg.Tracker.ResolvedStats(cut, target)
 		total += overdue
 		bad += overdue
 		if total == 0 {
@@ -142,14 +122,14 @@ func (m *Monitor) burns(now time.Time) (short, long float64) {
 		}
 		return float64(bad) / float64(total) / budget
 	}
-	return one(slo.ShortWindow), one(slo.LongWindow)
+	return one(shortWindow), one(longWindow)
 }
 
-func burnState(short, long float64, slo SLO) string {
+func burnState(short, long float64) string {
 	switch {
-	case short >= slo.PageBurn && long >= slo.PageBurn:
+	case short >= pageBurn && long >= pageBurn:
 		return StatePage
-	case short >= slo.WarnBurn && long >= slo.WarnBurn:
+	case short >= warnBurn && long >= warnBurn:
 		return StateWarn
 	default:
 		return StateOK
@@ -175,13 +155,12 @@ func (m *Monitor) Poll() {
 	now := m.cfg.Now()
 	m.cfg.Tracker.SampleWatermarks(now)
 	short, long := m.burns(now)
-	slo := m.cfg.SLO
 
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	at := simclock.ToSeconds(now.Sub(m.epoch))
 
-	if st := burnState(short, long, slo); st != m.lagState {
+	if st := burnState(short, long); st != m.lagState {
 		m.lagState = st
 		var trace string
 		if st != StateOK {
@@ -202,7 +181,7 @@ func (m *Monitor) Poll() {
 			BurnShort: short,
 			BurnLong:  long,
 			Detail: fmt.Sprintf("lag target %s objective %.4g",
-				slo.LagTarget, slo.Objective),
+				m.cfg.LagTarget, objective),
 			Trace: trace,
 		})
 	}
@@ -210,7 +189,7 @@ func (m *Monitor) Poll() {
 	if m.cfg.DLQDepth != nil {
 		depth := m.cfg.DLQDepth()
 		st := StateOK
-		if depth > slo.MaxDLQ {
+		if depth > maxDLQ {
 			st = StatePage
 		}
 		if st != m.dlqState {
@@ -225,7 +204,7 @@ func (m *Monitor) Poll() {
 				Kind:      "dlq",
 				Severity:  severityFor(st),
 				State:     st,
-				Detail:    fmt.Sprintf("depth %d max %d", depth, slo.MaxDLQ),
+				Detail:    fmt.Sprintf("depth %d max %d", depth, maxDLQ),
 			})
 		}
 	}

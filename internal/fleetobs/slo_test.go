@@ -18,18 +18,18 @@ func (c *fixedClock) now() time.Time               { return c.t }
 func (c *fixedClock) advance(d time.Duration)      { c.t = c.t.Add(d) }
 func at(base time.Time, d time.Duration) time.Time { return base.Add(d) }
 
-func newHarness(slo SLO) (*fixedClock, *engine.Tracker, *Monitor, *EventLog) {
+func newHarness(lagTarget time.Duration) (*fixedClock, *engine.Tracker, *Monitor, *EventLog) {
 	clk := &fixedClock{t: time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC)}
 	tr := engine.NewTracker()
 	log := NewEventLog()
 	mon := NewMonitor(MonitorConfig{
-		Rule:    "aws:us-east-1/src->azure:eastus/dst",
-		Dest:    "azure:eastus",
-		Now:     clk.now,
-		SLO:     slo,
-		Log:     log,
-		Tracker: tr,
-		LagHist: telemetry.NewHistogram(nil),
+		Rule:      "aws:us-east-1/src->azure:eastus/dst",
+		Dest:      "azure:eastus",
+		Now:       clk.now,
+		LagTarget: lagTarget,
+		Log:       log,
+		Tracker:   tr,
+		LagHist:   telemetry.NewHistogram(nil),
 	})
 	return clk, tr, mon, log
 }
@@ -42,8 +42,7 @@ func put(tr *engine.Tracker, key string, seq uint64, t time.Time) {
 // nothing resolves. Once the pending events outlive the lag target, both
 // windows burn and the monitor pages; after resolution it recovers.
 func TestBurnRateOverduePending(t *testing.T) {
-	slo := SLO{LagTarget: 5 * time.Second, Objective: 0.99, ShortWindow: time.Minute, LongWindow: 5 * time.Minute}
-	clk, tr, mon, log := newHarness(slo)
+	clk, tr, mon, log := newHarness(5 * time.Second)
 	base := clk.t
 
 	put(tr, "a", 1, base)
@@ -62,7 +61,7 @@ func TestBurnRateOverduePending(t *testing.T) {
 	if ev.Kind != "lag-burn" || ev.State != StatePage || ev.Severity != StatePage {
 		t.Fatalf("unexpected event %+v", ev)
 	}
-	if ev.BurnShort < slo.PageBurn || ev.BurnLong < slo.PageBurn {
+	if ev.BurnShort < pageBurn || ev.BurnLong < pageBurn {
 		t.Fatalf("burns %.1f/%.1f below page threshold", ev.BurnShort, ev.BurnLong)
 	}
 	if mon.AlertCount() != 1 {
@@ -99,13 +98,11 @@ func TestBurnRateOverduePending(t *testing.T) {
 // resolved records over target within both windows trips the warn and
 // page thresholds via the resolved path, no overdue pending needed.
 func TestBurnRateResolvedBad(t *testing.T) {
-	slo := SLO{LagTarget: time.Second, Objective: 0.9, ShortWindow: time.Minute, LongWindow: 2 * time.Minute,
-		WarnBurn: 2, PageBurn: 8}
-	clk, tr, mon, _ := newHarness(slo)
+	clk, tr, mon, _ := newHarness(time.Second)
 	base := clk.t
 
 	// 10 events, all resolving in 5s (> 1s target): bad fraction 1.0,
-	// budget 0.1 → burn 10 in both windows → page.
+	// budget 0.01 → burn 100 in both windows → page.
 	for i := 0; i < 10; i++ {
 		put(tr, key(i), uint64(i+1), at(base, time.Duration(i)*time.Second))
 	}
@@ -122,7 +119,7 @@ func TestBurnRateResolvedBad(t *testing.T) {
 func key(i int) string { return string(rune('a' + i)) }
 
 func TestDLQAndDivergenceSignals(t *testing.T) {
-	clk, tr, _, _ := newHarness(SLO{})
+	clk, tr, _, _ := newHarness(0)
 	_ = tr
 	depth := 0
 	var violations int64
@@ -173,8 +170,7 @@ func TestDLQAndDivergenceSignals(t *testing.T) {
 // requires byte-identical JSONL.
 func TestEventLogJSONLDeterministic(t *testing.T) {
 	run := func() string {
-		slo := SLO{LagTarget: 2 * time.Second}
-		clk, tr, mon, log := newHarness(slo)
+		clk, tr, mon, log := newHarness(2 * time.Second)
 		base := clk.t
 		put(tr, "x", 1, base)
 		clk.advance(10 * time.Second)

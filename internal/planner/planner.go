@@ -68,9 +68,6 @@ type Planner struct {
 
 	// MaxParallel caps the parallelism sweep (n_max in Algorithm 3).
 	MaxParallel int
-	// LocalMaxBytes is the largest object the orchestrator replicates
-	// inline instead of invoking a replicator function.
-	LocalMaxBytes int64
 	// Relays are optional intermediate execution regions (the serverless
 	// overlay extension of §6): a function at a relay runs two shorter
 	// legs, which can beat the direct long leg on trans-continental paths
@@ -120,9 +117,13 @@ type PlanOpts struct {
 	ClaimBatch int
 }
 
+// LocalMaxBytes is the largest object the orchestrator replicates inline
+// instead of invoking a replicator function.
+const LocalMaxBytes = 32 << 20
+
 // New returns a Planner with the paper's defaults.
 func New(m *model.Model) *Planner {
-	return &Planner{M: m, MaxParallel: 512, LocalMaxBytes: 32 << 20}
+	return &Planner{M: m, MaxParallel: 512}
 }
 
 // Plan chooses a strategy for replicating size bytes from src to dst.
@@ -168,7 +169,7 @@ func (pl *Planner) planWith(src, dst cloud.RegionID, size int64, sloRemaining ti
 	best := Plan{EstSeconds: -1}
 	var firstErr error
 	evaluate := func(n int, loc cloud.RegionID) (Plan, bool) {
-		local := n == 1 && loc == src && size <= pl.LocalMaxBytes
+		local := n == 1 && loc == src && size <= LocalMaxBytes
 		// Single-function transfers stream whole chunks at the engine's
 		// configured part size; only distributed plans pick a part size.
 		var ps int64

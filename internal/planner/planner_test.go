@@ -165,8 +165,8 @@ func TestUnprofiledModelErrors(t *testing.T) {
 
 func TestLocalMaxBytesBoundary(t *testing.T) {
 	pl := New(fitted())
-	at, _ := pl.Plan(src, dst, pl.LocalMaxBytes, time.Hour, 0.99)
-	over, _ := pl.Plan(src, dst, pl.LocalMaxBytes+1, time.Hour, 0.99)
+	at, _ := pl.Plan(src, dst, LocalMaxBytes, time.Hour, 0.99)
+	over, _ := pl.Plan(src, dst, LocalMaxBytes+1, time.Hour, 0.99)
 	if !at.Local {
 		t.Errorf("object at the local threshold should be local: %v", at)
 	}

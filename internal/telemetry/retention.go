@@ -46,9 +46,9 @@ var verdictRank = map[Verdict]int{
 // consulted when a trace's root span ends. Anomalous trees (any DLQ,
 // crash-recovery, repair, breaker-degraded, hedge, retry or error signal
 // — see ClassifySpans) are always kept; slow trees (root duration over
-// SlowThreshold, or over SlowFactor times the trailing SlowQuantile of
-// all prior root durations) are kept; of the remaining clean trees,
-// exactly 1 in HeadSampleN is kept by a seeded counter.
+// slowFactor times the trailing slowQuantile of all prior root
+// durations) are kept; of the remaining clean trees, exactly 1 in
+// HeadSampleN is kept by a seeded counter.
 //
 // Determinism: the slow-duration stream observes every root duration,
 // kept or dropped, and the clean counter advances only on clean trees —
@@ -62,16 +62,6 @@ type RetentionPolicy struct {
 	// HeadSampleN keeps 1 in N clean trees. N <= 0 drops every clean
 	// tree; N == 1 keeps them all.
 	HeadSampleN int
-	// SlowThreshold, when positive, is an absolute per-scenario bound on
-	// the root duration above which a tree is kept as slow.
-	SlowThreshold time.Duration
-	// SlowQuantile/SlowFactor keep a tree whose root duration exceeds
-	// SlowFactor times the trailing SlowQuantile estimate of prior root
-	// durations (both must be positive; the estimator warms up over
-	// SlowWarmup observations — default 32 — before it fires).
-	SlowQuantile float64
-	SlowFactor   float64
-	SlowWarmup   int
 
 	mu    sync.Mutex
 	durs  *Histogram
@@ -79,10 +69,19 @@ type RetentionPolicy struct {
 	clean uint64
 }
 
-// NewSampledPolicy returns a policy keeping anomalies plus a seeded
-// 1-in-n head sample, with trailing-quantile slow detection at 4x p95.
+// Slow detection keeps a tree whose root duration exceeds slowFactor
+// times the trailing slowQuantile estimate of prior root durations; the
+// estimator warms up over slowWarmup observations before it fires.
+const (
+	slowQuantile = 0.95
+	slowFactor   = 4
+	slowWarmup   = 32
+)
+
+// NewSampledPolicy returns a policy keeping anomalies and slow trees plus
+// a seeded 1-in-n head sample.
 func NewSampledPolicy(seed uint64, n int) *RetentionPolicy {
-	return &RetentionPolicy{Seed: seed, HeadSampleN: n, SlowQuantile: 0.95, SlowFactor: 4}
+	return &RetentionPolicy{Seed: seed, HeadSampleN: n}
 }
 
 // Decide classifies one ended trace (root plus its whole span tree) and
@@ -115,23 +114,15 @@ func (p *RetentionPolicy) Decide(root *Span, spans []*Span) (Verdict, bool) {
 // duration is recorded regardless of the eventual verdict, which keeps
 // the estimator (and hence the slow-kept set) independent of Seed.
 func (p *RetentionPolicy) observeSlow(d time.Duration) bool {
-	slow := p.SlowThreshold > 0 && d > p.SlowThreshold
-	if p.SlowQuantile <= 0 || p.SlowFactor <= 0 {
-		return slow
-	}
-	warmup := p.SlowWarmup
-	if warmup <= 0 {
-		warmup = 32
-	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if p.durs == nil {
 		p.durs = NewHistogram(nil)
 	}
-	if !slow && p.seen >= warmup {
-		if q := p.durs.Quantile(p.SlowQuantile); q > 0 && d.Seconds() > p.SlowFactor*q {
-			slow = true
-		}
+	var slow bool
+	if p.seen >= slowWarmup {
+		q := p.durs.Quantile(slowQuantile)
+		slow = q > 0 && d.Seconds() > slowFactor*q
 	}
 	p.durs.Observe(d.Seconds())
 	p.seen++
