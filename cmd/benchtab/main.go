@@ -6,7 +6,7 @@
 //
 // Usage:
 //
-//	benchtab -all             # every table, figure and ablation (results_full.txt)
+//	benchtab -all             # every table, figure, ablation and sweep (results_full.txt)
 //	benchtab -all -quick      # reduced sizes/rounds, same shapes
 //	benchtab -table 1         # one table (1, 2, 3 or 4)
 //	benchtab -fig 23          # one figure (2-9, 12, 16-23)
@@ -38,7 +38,7 @@ func main() {
 		chaosFlag = flag.String("chaos", "", "fault matrix: 'matrix' (all profiles) or comma-separated profile specs (e.g. mixed@7,storage-flaky)")
 		crash     = flag.Bool("crash", false, "crash-point sweep: deterministic crash at each data-plane step, recovery audit per point")
 		fleet     = flag.Bool("fleet", false, "fleet control plane: hundred-rule topology mix under shared quotas, per-rule fairness table")
-		all       = flag.Bool("all", false, "regenerate every table and figure")
+		all       = flag.Bool("all", false, "regenerate every table, figure, ablation and sweep (fleet-day excepted)")
 		quick     = flag.Bool("quick", false, "reduced sizes and rounds")
 		csv       = flag.String("csv", "", "also export plottable CSV datasets into this directory")
 		tracedir  = flag.String("tracedir", "", "export per-experiment Chrome traces and metrics dumps into this directory")
@@ -46,7 +46,7 @@ func main() {
 	flag.Parse()
 
 	// Selectors are mutually exclusive: -all already covers every table,
-	// figure and ablation, and the single-selection flags pick exactly one
+	// figure, ablation and sweep but fleet-day, and the single-selection flags pick exactly one
 	// experiment each. Reject conflicting combinations instead of silently
 	// preferring one.
 	var selected []string
@@ -117,6 +117,10 @@ func main() {
 		for _, e := range []string{"partsize", "overlay", "pipeline"} {
 			runExtra(e, *quick)
 		}
+		runChaos("matrix", *quick)
+		runCrash(*quick)
+		runExtra("scrub", *quick)
+		runFleet("Fleet control plane", experiments.FleetHundred, *quick)
 	} else if *table != 0 {
 		runTable(*table, *quick)
 	} else if *extra != "" {
