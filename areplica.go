@@ -233,13 +233,8 @@ type Rule struct {
 	// Replication.ScrubUntilClean.
 	Scrub bool
 	// ScrubCadence is the virtual-time interval between scrub rounds
-	// (0 = derived from DivergenceSLO, else the 60s default).
+	// (0 = the 60s default).
 	ScrubCadence time.Duration
-	// DivergenceSLO declares how long a divergent key may stay unrepaired;
-	// a scrub cadence of DivergenceSLO/2 is derived from it when
-	// ScrubCadence is unset, and repairs of older versions are counted as
-	// SLO violations.
-	DivergenceSLO time.Duration
 
 	// Monitor attaches an SLO burn-rate monitor to the rule: replication
 	// lag, DLQ depth and (with Scrub) divergence are evaluated on the
@@ -290,7 +285,6 @@ func (s *Sim) Deploy(r Rule) (*Replication, error) {
 		EnableBatching:  r.Batching,
 		EnableScrub:     r.Scrub,
 		ScrubCadence:    r.ScrubCadence,
-		DivergenceSLO:   r.DivergenceSLO,
 		EnableMonitor:   r.Monitor,
 		LagTarget:       r.LagTarget,
 		Events:          s.events,

@@ -391,6 +391,18 @@ func main() {
 	}
 }
 
+// auditFleet returns the fleet run's cost net of profiling, read before
+// the convergence audit bills its own LIST requests, then the audit's
+// diverged and audited key counts.
+func auditFleet(sim *areplica.Sim, fl *areplica.Fleet, profilingCost float64) (cost float64, diverged, audited int) {
+	cost = sim.CostTotal() - profilingCost
+	diverged, audited, err := fl.Diverged()
+	if err != nil {
+		fatal(err)
+	}
+	return cost, diverged, audited
+}
+
 // fleetOutput bundles the output flags the fleet mode honors.
 type fleetOutput struct {
 	status, verbose, stats         bool
@@ -466,10 +478,7 @@ func runFleet(sim *areplica.Sim, path string, replayDur time.Duration, ratePerMi
 	}
 	fl.PollMonitors()
 
-	diverged, audited, err := fl.Diverged()
-	if err != nil {
-		fatal(err)
-	}
+	cost, diverged, audited := auditFleet(sim, fl, profilingCost)
 	fmt.Printf("\nfleet: %d rules, %d pending, %d dead-lettered; audit %d/%d keys converged\n",
 		fl.Size(), fl.PendingTotal(), fl.DLQTotal(), audited-diverged, audited)
 
@@ -497,8 +506,7 @@ func runFleet(sim *areplica.Sim, path string, replayDur time.Duration, ratePerMi
 				st.Rule, st.Admits, st.Defers, st.Starved, st.QuotaWaits, st.MaxQueue)
 		}
 	}
-	fmt.Printf("cost (excluding one-time profiling of $%.4f): $%.4f\n",
-		profilingCost, sim.CostTotal()-profilingCost)
+	fmt.Printf("cost (excluding one-time profiling of $%.4f): $%.4f\n", profilingCost, cost)
 
 	if out.status {
 		fmt.Println()

@@ -1,6 +1,12 @@
 package main
 
-import "testing"
+import (
+	"fmt"
+	"strings"
+	"testing"
+
+	"repro"
+)
 
 // TestSingleRuleOnlyFlagsDefined: every name -fleet rejects must be a
 // flag the command defines, so deleting a flag cannot leave a stale entry
@@ -48,5 +54,38 @@ func TestParseSize(t *testing.T) {
 		if err != nil || got != tc.want {
 			t.Errorf("parseSize(%q) = %d, %v; want %d", tc.in, got, err, tc.want)
 		}
+	}
+}
+
+// TestAuditFleetCostExcludesAudit: the fleet summary's cost is the meter
+// read before the convergence audit, whose LIST requests bill after it.
+func TestAuditFleetCostExcludesAudit(t *testing.T) {
+	sim := areplica.NewSim()
+	rules, opts, err := areplica.LoadFleetTopology(strings.NewReader(`{"fanout": [{"src": "aws:us-east-1", "bucket": "in",
+		"dsts": [{"region": "azure:eastus", "bucket": "out"}, {"region": "gcp:us-east1", "bucket": "out"}]}]}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	fl, err := sim.DeployFleet(rules, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 4; i++ {
+		if _, err := sim.PutObject("aws:us-east-1", "in", fmt.Sprintf("k%d", i), 1<<20); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sim.Wait()
+
+	before := sim.CostTotal()
+	cost, diverged, audited := auditFleet(sim, fl, 0)
+	if audited != 8 || diverged != 0 {
+		t.Errorf("audit: %d of %d keys diverged, want 0 of 8", diverged, audited)
+	}
+	if cost != before {
+		t.Errorf("reported cost $%g, want the pre-audit meter $%g", cost, before)
+	}
+	if after := sim.CostTotal(); after <= before {
+		t.Errorf("meter after the audit $%g, want above $%g (the audit bills LIST requests)", after, before)
 	}
 }

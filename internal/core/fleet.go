@@ -11,7 +11,6 @@ import (
 	"fmt"
 	"io"
 	"sort"
-	"strings"
 	"time"
 
 	"repro/internal/cloud"
@@ -20,6 +19,7 @@ import (
 	"repro/internal/fleetobs"
 	"repro/internal/model"
 	"repro/internal/objstore"
+	"repro/internal/oracle"
 	"repro/internal/world"
 )
 
@@ -362,27 +362,18 @@ func (f *Fleet) WriteHealthTable(w io.Writer) error {
 
 // Diverged audits forward convergence: for every rule, each source key
 // under the rule's prefix must exist at the destination with the same
-// ETag. It returns the number of diverged (missing or stale) keys and
-// the number of keys audited.
+// ETag (oracle.Compare; orphans do not count). It returns the number of
+// diverged (missing or stale) keys and the number of keys audited.
 func (f *Fleet) Diverged() (diverged, total int, err error) {
 	for _, id := range f.order {
 		rule := f.svcs[id].Rule
-		src := f.w.Region(rule.Src).Obj
-		dst := f.w.Region(rule.Dst).Obj
-		metas, lerr := src.List(rule.SrcBucket)
-		if lerr != nil {
-			return 0, 0, fmt.Errorf("core: fleet audit %s: %w", id, lerr)
+		src, dst := f.w.Region(rule.Src).Obj, f.w.Region(rule.Dst).Obj
+		d, err := oracle.Compare(src, rule.SrcBucket, dst, rule.DstBucket, rule.KeyPrefix)
+		if err != nil {
+			return 0, 0, fmt.Errorf("core: fleet audit %s: %w", id, err)
 		}
-		for _, m := range metas {
-			if rule.KeyPrefix != "" && !strings.HasPrefix(m.Key, rule.KeyPrefix) {
-				continue
-			}
-			total++
-			cur, herr := dst.Head(rule.DstBucket, m.Key)
-			if herr != nil || cur.ETag != m.ETag {
-				diverged++
-			}
-		}
+		diverged += d.Diverged()
+		total += d.Keys
 	}
 	return diverged, total, nil
 }

@@ -207,33 +207,22 @@ func runFaultScenario(prof chaos.Profile, spec string, objects int, quick bool, 
 	// Disarm for verification so the convergence audit itself cannot fail.
 	w.SetChaos(chaos.Profile{})
 
-	metas, err := w.Region(src).Obj.List(srcBucket)
+	diff, err := oracle.Compare(w.Region(src).Obj, srcBucket, w.Region(dst).Obj, dstBucket, "")
 	if err != nil {
 		return FaultScenario{}, err
 	}
-	converged := 0
-	for _, m := range metas {
-		if cur, err := w.Region(dst).Obj.Head(dstBucket, m.Key); err == nil && cur.ETag == m.ETag {
-			converged++
-		}
-	}
 	pct := 100.0
-	if len(metas) > 0 {
-		pct = 100 * float64(converged) / float64(len(metas))
+	if diff.Keys > 0 {
+		pct = 100 * float64(diff.Converged) / float64(diff.Keys)
 	}
 
 	delays := svc.Engine.Tracker.DelaysSeconds()
-	dupFinal := dupWatch.Duplicates()
 	// Watermarks: the backlog high-water comes from the gauge family's
 	// aggregate (raised on every pending add, not just at poll points);
 	// the oldest-age peak from the monitor's labelled child gauge, which
 	// SampleWatermarks refreshes each poll.
-	dims := []telemetry.Label{
-		telemetry.L("rule", svc.Engine.RuleID()),
-		telemetry.L("dest", string(dst)),
-	}
-	oldestMS := w.Metrics.GaugeVec("engine.lag.oldest_age_ms").With(dims...)
-	residual := auditDivergence(w, svc)
+	oldestMS := w.Metrics.GaugeVec("engine.lag.oldest_age_ms").With(
+		telemetry.L("rule", svc.Engine.RuleID()), telemetry.L("dest", string(dst)))
 	return FaultScenario{
 		Profile:            spec,
 		ConvergencePct:     pct,
@@ -243,10 +232,10 @@ func runFaultScenario(prof chaos.Profile, spec string, objects int, quick bool, 
 		LagP99S:            svc.Engine.LagHistogram().Quantile(0.99),
 		BacklogMax:         w.Metrics.Gauge("engine.lag.backlog").Max(),
 		SLOAlerts:          svc.Monitor.AlertCount(),
-		Objects:            len(metas),
-		Converged:          converged,
-		DupFinalWrites:     dupFinal,
-		ResidualDivergence: residual,
+		Objects:            diff.Keys,
+		Converged:          diff.Converged,
+		DupFinalWrites:     dupWatch.Duplicates(),
+		ResidualDivergence: diff.Residual(),
 		OldestAgeMaxS:      float64(oldestMS.Max()) / 1000,
 		Injected:           w.Metrics.Counter("chaos.injected").Value(),
 		Retries:            w.Metrics.Counter("engine.retries").Value(),

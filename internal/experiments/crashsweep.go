@@ -189,7 +189,7 @@ func runCrashScenario(point string) (crashRun, error) {
 	bytesBase := legBytes.Value()
 	kvBase := kvReads.Value() + kvWrites.Value()
 
-	res := putObject(w, src, srcBucket, "crash-obj", crashSweepSize, 1)
+	putObject(w, src, srcBucket, "crash-obj", crashSweepSize, 1)
 	// Quiesce drains everything pending in virtual time, including the
 	// 30 s DLQ redrive a crashed orchestrator's task parks behind and the
 	// lock lease it must outwait.
@@ -214,9 +214,9 @@ func runCrashScenario(point string) (crashRun, error) {
 		run.mpusLeft = len(infos)
 	}
 
-	if cur, err := w.Region(dst).Obj.Head(dstBucket, "crash-obj"); err == nil && cur.ETag == res.ETag {
-		run.converged = true
-	}
+	// crash-src holds only crash-obj; a failed audit reads as not converged.
+	diff, err := oracle.Compare(w.Region(src).Obj, srcBucket, w.Region(dst).Obj, dstBucket, "")
+	run.converged = err == nil && diff.Converged == 1
 	run.dupFinal = dupWatch.Duplicates()
 	run.legBytes = legBytes.Value() - bytesBase
 	run.kvOps = kvReads.Value() + kvWrites.Value() - kvBase

@@ -10,7 +10,6 @@ import (
 	"repro/internal/engine"
 	"repro/internal/model"
 	"repro/internal/oracle"
-	"repro/internal/world"
 )
 
 // ScrubConfig configures the anti-entropy cadence sweep.
@@ -157,30 +156,29 @@ func runScrubScenario(prof chaos.Profile, cadence time.Duration, objects int, qu
 		// The periodic loop self-terminates after two clean rounds; if it
 		// exited before late drops appeared, a driver-paced pass finishes
 		// the job (still under chaos).
-		if svc.Scrubber != nil {
-			if n := auditDivergence(w, svc); n > 0 {
-				if _, _, err := svc.Scrubber.RunUntilClean(); err != nil {
-					panic(err)
-				}
-				w.Clock.Quiesce()
+		if svc.Scrubber == nil {
+			return
+		}
+		d, err := oracle.Compare(w.Region(src).Obj, srcBucket, w.Region(dst).Obj, dstBucket, "")
+		if err != nil {
+			panic(err)
+		}
+		if d.Residual() > 0 {
+			if _, _, err := svc.Scrubber.RunUntilClean(); err != nil {
+				panic(err)
 			}
+			w.Clock.Quiesce()
 		}
 	})
 	w.SetChaos(chaos.Profile{})
 
-	metas, err := w.Region(src).Obj.List(srcBucket)
+	diff, err := oracle.Compare(w.Region(src).Obj, srcBucket, w.Region(dst).Obj, dstBucket, "")
 	if err != nil {
 		return ScrubPoint{}, err
 	}
-	converged := 0
-	for _, m := range metas {
-		if cur, err := w.Region(dst).Obj.Head(dstBucket, m.Key); err == nil && cur.ETag == m.ETag {
-			converged++
-		}
-	}
 	pct := 100.0
-	if len(metas) > 0 {
-		pct = 100 * float64(converged) / float64(len(metas))
+	if diff.Keys > 0 {
+		pct = 100 * float64(diff.Converged) / float64(diff.Keys)
 	}
 
 	ageHist := w.Metrics.Histogram("antientropy.divergence.age.seconds")
@@ -188,17 +186,16 @@ func runScrubScenario(prof chaos.Profile, cadence time.Duration, objects int, qu
 	if ageHist.Count() > 0 {
 		ageP50, ageMax = ageHist.Quantile(0.5), ageHist.Max()
 	}
-	dupFinal := dupWatch.Duplicates()
 	return ScrubPoint{
 		Cadence:            label,
 		ConvergencePct:     pct,
-		ResidualDivergence: auditDivergence(w, svc),
+		ResidualDivergence: diff.Residual(),
 		Rounds:             w.Metrics.Counter("antientropy.rounds").Value(),
 		DigestBytes:        w.Metrics.Counter("antientropy.digest.bytes").Value(),
-		DupFinalWrites:     dupFinal,
+		DupFinalWrites:     dupWatch.Duplicates(),
 		CadenceS:           cadence.Seconds(),
-		Objects:            len(metas),
-		Converged:          converged,
+		Objects:            diff.Keys,
+		Converged:          diff.Converged,
 		RepairsDispatched:  w.Metrics.Counter("antientropy.repair.dispatched").Value(),
 		RepairsRedriven:    w.Metrics.Counter("antientropy.repair.redriven").Value(),
 		RepairsDeduped:     w.Metrics.Counter("antientropy.repair.deduped").Value(),
@@ -207,39 +204,6 @@ func runScrubScenario(prof chaos.Profile, cadence time.Duration, objects int, qu
 		RepairAgeMaxS:      ageMax,
 		TotalCostUSD:       cost,
 	}, nil
-}
-
-// auditDivergence counts keys where the destination does not hold the
-// current source version (missing or stale) plus destination keys absent
-// from the source (orphans) — the residual divergence metric.
-func auditDivergence(w *world.World, svc *core.Service) int {
-	rule := svc.Rule
-	srcMetas, err := w.Region(rule.Src).Obj.List(rule.SrcBucket)
-	if err != nil {
-		panic(err)
-	}
-	dstMetas, err := w.Region(rule.Dst).Obj.List(rule.DstBucket)
-	if err != nil {
-		panic(err)
-	}
-	onSrc := make(map[string]string, len(srcMetas))
-	divergent := 0
-	for _, m := range srcMetas {
-		onSrc[m.Key] = m.ETag
-	}
-	dstETag := make(map[string]string, len(dstMetas))
-	for _, m := range dstMetas {
-		dstETag[m.Key] = m.ETag
-		if _, ok := onSrc[m.Key]; !ok {
-			divergent++ // orphan
-		}
-	}
-	for k, etag := range onSrc {
-		if dstETag[k] != etag {
-			divergent++ // missing or stale
-		}
-	}
-	return divergent
 }
 
 // Print writes the sweep in the evaluation's table style.
