@@ -1,6 +1,8 @@
 // Command benchtab regenerates the tables and figures of the paper's
 // evaluation on the simulated three-cloud world and prints the same rows
-// and series the paper reports, plus every table of the extensions. It
+// and series the paper reports, plus every table of the extensions. Each
+// result is a list of named-column tables: the printed headers are the
+// CSV column names, and -csv writes every named table as <name>.csv. It
 // measures nothing about the host (`go run ./bench` does) and gates only
 // the fleet runs' hard bars, through its exit status.
 //
@@ -19,10 +21,11 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
-	"io"
 	"os"
+	"slices"
 	"strings"
 
 	"repro/internal/cloud"
@@ -45,42 +48,31 @@ func main() {
 	)
 	flag.Parse()
 
-	// Selectors are mutually exclusive: -all already covers every table,
-	// figure, ablation and sweep but fleet-day, and the single-selection flags pick exactly one
-	// experiment each. Reject conflicting combinations instead of silently
-	// preferring one.
-	var selected []string
-	if *table != 0 {
-		selected = append(selected, "-table")
-	}
-	if *fig != 0 {
-		selected = append(selected, "-fig")
-	}
-	if *extra != "" {
-		selected = append(selected, "-extra")
-	}
-	if *all {
-		if len(selected) > 0 || *chaosFlag != "" || *crash || *fleet {
-			conflicting := selected
-			if *chaosFlag != "" {
-				conflicting = append(conflicting, "-chaos")
-			}
-			if *crash {
-				conflicting = append(conflicting, "-crash")
-			}
-			if *fleet {
-				conflicting = append(conflicting, "-fleet")
-			}
-			fmt.Fprintf(os.Stderr, "benchtab: -all already runs everything; drop %s\n",
-				strings.Join(conflicting, ", "))
-			os.Exit(2)
+	// Each selector flag picks one entry. -table, -fig and -extra exclude
+	// each other, and -all, which runs every entry but the fleet-day
+	// replay, excludes them all: reject a conflicting combination instead
+	// of silently preferring one.
+	var flags, sels []string
+	pick := func(on bool, name, sel string) {
+		if on {
+			flags, sels = append(flags, name), append(sels, sel)
 		}
-	} else if len(selected) > 1 {
-		fmt.Fprintf(os.Stderr, "benchtab: %s select different experiments; pass exactly one\n",
-			strings.Join(selected, ", "))
-		os.Exit(2)
 	}
-	if !*all && len(selected) == 0 && *chaosFlag == "" && !*crash && !*fleet {
+	pick(*chaosFlag != "", "-chaos", "chaos")
+	pick(*crash, "-crash", "crash")
+	pick(*fleet, "-fleet", "fleet")
+	pick(*table != 0, "-table", fmt.Sprintf("table %d", *table))
+	pick(*fig != 0, "-fig", fmt.Sprintf("fig %d", *fig))
+	pick(*extra != "", "-extra", "extra "+*extra)
+	single := slices.DeleteFunc(slices.Clone(flags), func(f string) bool { return f != "-table" && f != "-fig" && f != "-extra" })
+	switch {
+	case *all && len(flags) > 0:
+		fmt.Fprintf(os.Stderr, "benchtab: -all already runs everything; drop %s\n", strings.Join(flags, ", "))
+		os.Exit(2)
+	case len(single) > 1:
+		fmt.Fprintf(os.Stderr, "benchtab: %s select different experiments; pass exactly one\n", strings.Join(single, ", "))
+		os.Exit(2)
+	case !*all && len(flags) == 0:
 		flag.Usage()
 		os.Exit(2)
 	}
@@ -96,37 +88,37 @@ func main() {
 			os.Exit(2)
 		}
 	}
-	csvDir = *csv
 	experiments.TraceDir = *tracedir
-	if *chaosFlag != "" {
-		runChaos(*chaosFlag, *quick)
-	}
-	if *crash {
-		runCrash(*quick)
-	}
-	if *fleet {
-		runFleet("Fleet control plane", experiments.FleetHundred, *quick)
-	}
+
+	var run []entry
 	if *all {
-		for _, t := range []int{1, 2, 3, 4} {
-			runTable(t, *quick)
+		run = allEntries()
+	}
+	list := entries(*chaosFlag)
+	for _, sel := range sels {
+		i := slices.IndexFunc(list, func(e entry) bool { return e.sel == sel })
+		if i < 0 {
+			fmt.Fprintf(os.Stderr, "benchtab: no experiment -%s\n", sel)
+			os.Exit(2)
 		}
-		for _, f := range []int{2, 3, 4, 5, 6, 7, 8, 9, 12, 16, 17, 18, 19, 20, 21, 22, 23} {
-			runFig(f, *quick)
+		run = append(run, list[i])
+	}
+	for _, e := range run {
+		fmt.Printf("\n================ %s ================\n", e.title)
+		tables, err := e.run(*quick)
+		experiments.Print(os.Stdout, tables...)
+		if *csv != "" {
+			if err := experiments.ExportCSV(*csv, tables...); err != nil {
+				fmt.Fprintf(os.Stderr, "benchtab: csv export: %v\n", err)
+				os.Exit(1)
+			}
 		}
-		for _, e := range []string{"partsize", "overlay", "pipeline"} {
-			runExtra(e, *quick)
+		if errors.Is(err, errHardBar) {
+			os.Exit(1)
+		} else if err != nil {
+			fmt.Fprintf(os.Stderr, "benchtab: %s: %v\n", e.title, err)
+			os.Exit(2)
 		}
-		runChaos("matrix", *quick)
-		runCrash(*quick)
-		runExtra("scrub", *quick)
-		runFleet("Fleet control plane", experiments.FleetHundred, *quick)
-	} else if *table != 0 {
-		runTable(*table, *quick)
-	} else if *extra != "" {
-		runExtra(*extra, *quick)
-	} else if *fig != 0 {
-		runFig(*fig, *quick)
 	}
 	if err := experiments.FlushTelemetry(); err != nil {
 		fmt.Fprintf(os.Stderr, "telemetry export: %v\n", err)
@@ -136,133 +128,128 @@ func main() {
 	}
 }
 
-var csvDir string
+// entry is one experiment benchtab can run: sel names the flag that picks
+// it ("table 1", "fig 20", "extra scrub", "chaos", "crash", "fleet"), title
+// heads its printed section, and run returns its tables.
+type entry struct {
+	sel, title string
+	run        func(quick bool) ([]experiments.Table, error)
+}
 
-// emit prints a result and, with -csv, exports its datasets.
-func emit[T interface{ Print(w io.Writer) }](res T) {
-	res.Print(os.Stdout)
-	if csvDir == "" {
-		return
-	}
-	if exp, ok := any(res).(experiments.CSVExporter); ok {
-		if err := experiments.ExportCSV(csvDir, exp); err != nil {
-			fmt.Fprintf(os.Stderr, "csv export: %v\n", err)
+// errHardBar is what a fleet run that broke a hard bar returns after
+// fleetExit has said which: its tables still print, then benchtab exits 1.
+var errHardBar = errors.New("hard bar broken")
+
+// entries lists every experiment in -all's order; chaosSpec is -chaos's
+// value: comma-separated profile specs, or "matrix" or "" for all.
+func entries(chaosSpec string) []entry {
+	table := func(src cloud.RegionID) func(bool) *experiments.TableResult {
+		return func(quick bool) *experiments.TableResult {
+			return experiments.RunTable(experiments.TableConfig{Source: src, Quick: quick})
 		}
 	}
-}
-
-func runTable(n int, quick bool) {
-	hdr(fmt.Sprintf("Table %d", n))
-	switch n {
-	case 1:
-		emit(experiments.RunTable(experiments.TableConfig{Source: experiments.AWSEast, Quick: quick}))
-	case 2:
-		emit(experiments.RunTable(experiments.TableConfig{Source: experiments.AzureEast, Quick: quick}))
-	case 3:
-		emit(experiments.RunTable(experiments.TableConfig{Source: experiments.GCPEast, Quick: quick}))
-	case 4:
-		experiments.RunTable4(quick).Print(os.Stdout)
-	default:
-		fmt.Fprintf(os.Stderr, "unknown table %d\n", n)
-		os.Exit(2)
-	}
-}
-
-func runFig(n int, quick bool) {
-	hdr(fmt.Sprintf("Figure %d", n))
-	switch n {
-	case 2:
-		emit(experiments.RunFig2(quick))
-	case 3:
-		emit(experiments.RunFig3(quick))
-	case 4:
-		experiments.RunFig4().Print(os.Stdout)
-	case 5:
-		experiments.RunFig5(quick).Print(os.Stdout)
-	case 6:
-		experiments.RunFig6(quick).Print(os.Stdout)
-	case 7:
-		emit(experiments.RunFig7(quick))
-	case 8:
-		emit(experiments.RunFig8(quick))
-	case 9:
-		emit(experiments.RunFig9())
-	case 12:
-		experiments.RunFig12().Print(os.Stdout)
-	case 16:
-		emit(experiments.RunFig16(quick))
-	case 17:
-		emit(experiments.RunFig17(quick))
-	case 18:
-		emit(experiments.RunModelAccuracy("aws:us-east-1", "azure:eastus", quick))
-	case 19:
-		emit(experiments.RunModelAccuracy("azure:eastus", "gcp:asia-northeast1", quick))
-	case 20:
-		emit(experiments.RunFig20("azure:southeastasia", []cloud.RegionID{
-			"gcp:europe-west6", "gcp:us-east1", "gcp:asia-northeast1",
-		}, quick))
-		emit(experiments.RunFig20("gcp:europe-west6", []cloud.RegionID{
-			"azure:westus2", "azure:southeastasia", "azure:uksouth",
-		}, quick))
-	case 21:
-		emit(experiments.RunFig21(quick))
-	case 22:
-		emit(experiments.RunFig22(quick))
-	case 23:
-		emit(experiments.RunFig23(quick))
-	default:
-		fmt.Fprintf(os.Stderr, "unknown figure %d\n", n)
-		os.Exit(2)
-	}
-}
-
-func runChaos(spec string, quick bool) {
-	hdr("Fault matrix")
-	cfg := experiments.FaultMatrixConfig{Quick: quick, Events: fleetobs.NewEventLog()}
-	if spec != "matrix" {
-		cfg.Profiles = strings.Split(spec, ",")
-	}
-	res, err := experiments.RunFaultMatrix(cfg)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "fault matrix: %v\n", err)
-		os.Exit(2)
-	}
-	emit(res)
-	// The monitors' structured alert stream, scoped per profile: what an
-	// operator's pager would have seen during each scenario.
-	if cfg.Events.Len() > 0 {
-		fmt.Printf("\nSLO alert events (%d):\n", cfg.Events.Len())
-		if err := cfg.Events.WriteJSONL(os.Stdout); err != nil {
-			fmt.Fprintf(os.Stderr, "alert log: %v\n", err)
+	accuracy := func(src, dst cloud.RegionID) func(bool) *experiments.ModelAccuracyResult {
+		return func(quick bool) *experiments.ModelAccuracyResult {
+			return experiments.RunModelAccuracy(src, dst, quick)
 		}
 	}
+	return []entry{
+		{"table 1", "Table 1", rows(table(experiments.AWSEast))},
+		{"table 2", "Table 2", rows(table(experiments.AzureEast))},
+		{"table 3", "Table 3", rows(table(experiments.GCPEast))},
+		{"table 4", "Table 4", rows(experiments.RunTable4)},
+		{"fig 2", "Figure 2", rows(experiments.RunFig2)},
+		{"fig 3", "Figure 3", rows(experiments.RunFig3)},
+		{"fig 4", "Figure 4", rows(func(bool) *experiments.Fig4Result { return experiments.RunFig4() })},
+		{"fig 5", "Figure 5", rows(experiments.RunFig5)},
+		{"fig 6", "Figure 6", rows(experiments.RunFig6)},
+		{"fig 7", "Figure 7", rows(experiments.RunFig7)},
+		{"fig 8", "Figure 8", rows(experiments.RunFig8)},
+		{"fig 9", "Figure 9", rows(func(bool) *experiments.Fig9Result { return experiments.RunFig9() })},
+		{"fig 12", "Figure 12", rows(func(bool) *experiments.Fig12Result { return experiments.RunFig12() })},
+		{"fig 16", "Figure 16", rows(experiments.RunFig16)},
+		{"fig 17", "Figure 17", rows(experiments.RunFig17)},
+		{"fig 18", "Figure 18", rows(accuracy("aws:us-east-1", "azure:eastus"))},
+		{"fig 19", "Figure 19", rows(accuracy("azure:eastus", "gcp:asia-northeast1"))},
+		{"fig 20", "Figure 20", func(quick bool) ([]experiments.Table, error) {
+			a := experiments.RunFig20("azure:southeastasia", []cloud.RegionID{
+				"gcp:europe-west6", "gcp:us-east1", "gcp:asia-northeast1",
+			}, quick)
+			b := experiments.RunFig20("gcp:europe-west6", []cloud.RegionID{
+				"azure:westus2", "azure:southeastasia", "azure:uksouth",
+			}, quick)
+			return append(a.Tables(), b.Tables()...), nil
+		}},
+		{"fig 21", "Figure 21", rows(experiments.RunFig21)},
+		{"fig 22", "Figure 22", rows(experiments.RunFig22)},
+		{"fig 23", "Figure 23", rows(experiments.RunFig23)},
+		{"extra partsize", "Extra: part-size ablation", rows(experiments.RunPartSizeAblation)},
+		{"extra overlay", "Extra: overlay relay ablation", rows(experiments.RunOverlayAblation)},
+		{"extra pipeline", "Extra: pipelined data plane ablation", rows(experiments.RunPipeline)},
+		{"chaos", "Fault matrix", func(quick bool) ([]experiments.Table, error) {
+			cfg := experiments.FaultMatrixConfig{Quick: quick, Events: fleetobs.NewEventLog()}
+			if chaosSpec != "" && chaosSpec != "matrix" {
+				cfg.Profiles = strings.Split(chaosSpec, ",")
+			}
+			res, err := experiments.RunFaultMatrix(cfg)
+			if err != nil {
+				return nil, err
+			}
+			tables := res.Tables()
+			// The monitors' structured alert stream, scoped per profile: what
+			// an operator's pager would have seen during each scenario.
+			if cfg.Events.Len() > 0 {
+				var jsonl strings.Builder
+				if err := cfg.Events.WriteJSONL(&jsonl); err != nil {
+					return nil, err
+				}
+				tables = append(tables, experiments.Table{
+					Title: fmt.Sprintf("SLO alert events (%d):", cfg.Events.Len()),
+					Notes: strings.Split(strings.TrimSuffix(jsonl.String(), "\n"), "\n"),
+				})
+			}
+			return tables, nil
+		}},
+		{"crash", "Crash-point sweep", func(quick bool) ([]experiments.Table, error) {
+			res, err := experiments.RunCrashSweep(experiments.CrashSweepConfig{Quick: quick})
+			if err != nil {
+				return nil, err
+			}
+			return res.Tables(), nil
+		}},
+		{"extra scrub", "Extra: anti-entropy scrub cadence sweep", func(quick bool) ([]experiments.Table, error) {
+			res, err := experiments.RunScrub(experiments.ScrubConfig{Quick: quick})
+			if err != nil {
+				return nil, err
+			}
+			return res.Tables(), nil
+		}},
+		{"fleet", "Fleet control plane", fleetRun(experiments.FleetHundred)},
+		{"extra fleet-day", "Extra: fleet-day replay", fleetRun(experiments.FleetDay)},
+	}
 }
 
-func runCrash(quick bool) {
-	hdr("Crash-point sweep")
-	res, err := experiments.RunCrashSweep(experiments.CrashSweepConfig{Quick: quick})
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "crash sweep: %v\n", err)
-		os.Exit(2)
-	}
-	emit(res)
+// allEntries is what -all runs: every entry but the day replay, which
+// takes about a minute and runs only as -extra fleet-day.
+func allEntries() []entry {
+	return slices.DeleteFunc(entries(""), func(e entry) bool { return e.sel == "extra fleet-day" })
 }
 
-func runFleet(title, preset string, quick bool) {
-	hdr(title)
-	res, err := experiments.RunFleet(experiments.FleetConfig{Preset: preset, Quick: quick})
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "fleet: %v\n", err)
-		os.Exit(2)
-	}
-	emit(res)
-	// The day replay's point is volume, which the control-plane summary
-	// does not print.
-	if preset == experiments.FleetDay {
-		fmt.Printf("  %d replicated objects over %.1f virtual hours\n", res.ReplicatedObjects, res.VirtualHours)
-	}
-	if code := fleetExit(res); code != 0 {
-		os.Exit(code)
+// rows adapts an experiment that cannot fail to an entry's run.
+func rows[R interface{ Tables() []experiments.Table }](run func(quick bool) R) func(bool) ([]experiments.Table, error) {
+	return func(quick bool) ([]experiments.Table, error) { return run(quick).Tables(), nil }
+}
+
+func fleetRun(preset string) func(bool) ([]experiments.Table, error) {
+	return func(quick bool) ([]experiments.Table, error) {
+		res, err := experiments.RunFleet(experiments.FleetConfig{Preset: preset, Quick: quick})
+		if err != nil {
+			return nil, err
+		}
+		if fleetExit(res) != 0 {
+			return res.Tables(), errHardBar
+		}
+		return res.Tables(), nil
 	}
 }
 
@@ -276,35 +263,4 @@ func fleetExit(r *experiments.FleetResult) int {
 	fmt.Fprintf(os.Stderr, "%s: hard bar broken: convergence %.2f%% (must be 100), %d duplicate final writes, %d DLQ, %d pending (must be 0)\n",
 		r.Name, r.ConvergencePct, r.DupFinalWrites, r.DLQ, r.Pending)
 	return 1
-}
-
-func runExtra(name string, quick bool) {
-	switch name {
-	case "partsize":
-		hdr("Extra: part-size ablation")
-		experiments.RunPartSizeAblation(quick).Print(os.Stdout)
-	case "overlay":
-		hdr("Extra: overlay relay ablation")
-		experiments.RunOverlayAblation(quick).Print(os.Stdout)
-	case "pipeline":
-		hdr("Extra: pipelined data plane ablation")
-		emit(experiments.RunPipeline(quick))
-	case "scrub":
-		hdr("Extra: anti-entropy scrub cadence sweep")
-		res, err := experiments.RunScrub(experiments.ScrubConfig{Quick: quick})
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "scrub sweep: %v\n", err)
-			os.Exit(2)
-		}
-		emit(res)
-	case "fleet-day":
-		runFleet("Extra: fleet-day replay", experiments.FleetDay, quick)
-	default:
-		fmt.Fprintf(os.Stderr, "unknown extra %q\n", name)
-		os.Exit(2)
-	}
-}
-
-func hdr(title string) {
-	fmt.Printf("\n================ %s ================\n", title)
 }

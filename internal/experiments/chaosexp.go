@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"io"
 	"strings"
 	"time"
 
@@ -90,7 +89,7 @@ type FaultMatrixResult struct {
 // profile and measures how far the hardened engine converges, how much
 // the injected faults delay replication, and what the retries cost.
 // Everything is deterministic per profile seed: the same spec list yields
-// byte-identical Print output.
+// byte-identical tables.
 func RunFaultMatrix(cfg FaultMatrixConfig) (*FaultMatrixResult, error) {
 	specs := cfg.Profiles
 	if len(specs) == 0 {
@@ -262,42 +261,21 @@ func putObjectRetrying(w *world.World, region cloud.RegionID, bucket, key string
 	return false
 }
 
-// Print writes the fault matrix in the evaluation's table style.
-func (r *FaultMatrixResult) Print(out io.Writer) {
-	fprintf(out, "Fault matrix: chaos profile x convergence/delay/cost (hardened engine)\n")
-	fprintf(out, "%-16s %9s %6s %8s %8s %5s %8s %4s %9s %8s %8s %8s %10s %9s %8s %7s %8s %6s\n",
-		"profile", "converged", "pct", "p50_s", "p99_s", "dup", "residual", "dlq",
-		"injected", "retries", "breaker", "redrive", "cost_usd", "overhead",
-		"lag_p99", "blg_max", "oldest_s", "alerts")
-	for _, s := range r.Scenarios {
-		fprintf(out, "%-16s %5d/%-3d %5.1f%% %8.2f %8.2f %5d %8d %4d %9d %8d %8d %8d %10.4f %8.1f%% %8.2f %7d %8.2f %6d\n",
-			s.Profile, s.Converged, s.Objects, s.ConvergencePct, s.P50S, s.P99S,
-			s.DupFinalWrites, s.ResidualDivergence, s.DLQ, s.Injected, s.Retries,
-			s.BreakerOpens, s.Redrives, s.CostUSD, s.CostOverheadPct,
-			s.LagP99S, s.BacklogMax, s.OldestAgeMaxS, s.SLOAlerts)
-	}
-}
-
-// CSV exports the fault matrix.
-func (r *FaultMatrixResult) CSV() []CSVTable {
-	t := CSVTable{
-		Name: "fault_matrix",
-		Header: []string{"profile", "objects", "converged", "convergence_pct",
-			"p50_s", "p99_s", "dup_final_writes", "residual_divergence", "dlq",
-			"injected", "retries", "breaker_opens", "redrives", "cost_usd",
-			"cost_overhead_pct", "lag_p99_s", "backlog_max", "oldest_age_max_s",
-			"slo_alerts"},
+// Tables returns the fault matrix, one row per profile.
+func (r *FaultMatrixResult) Tables() []Table {
+	t := Table{
+		Name:  "fault_matrix",
+		Title: "Fault matrix: chaos profile x convergence/delay/cost (hardened engine)",
+		Cols: []Col{{"profile", "%s"}, {"objects", "%d"}, {"converged", "%d"}, {"convergence_pct", "%.1f"},
+			{"p50_s", "%.2f"}, {"p99_s", "%.2f"}, {"dup_final_writes", "%d"}, {"residual_divergence", "%d"},
+			{"dlq", "%d"}, {"injected", "%d"}, {"retries", "%d"}, {"breaker_opens", "%d"}, {"redrives", "%d"},
+			{"cost_usd", "%.4f"}, {"cost_overhead_pct", "%.1f"}, {"lag_p99_s", "%.2f"}, {"backlog_max", "%d"},
+			{"oldest_age_max_s", "%.2f"}, {"slo_alerts", "%d"}},
 	}
 	for _, s := range r.Scenarios {
-		t.Rows = append(t.Rows, []string{
-			s.Profile, fmt.Sprint(s.Objects), fmt.Sprint(s.Converged), f64(s.ConvergencePct),
-			f64(s.P50S), f64(s.P99S), fmt.Sprint(s.DupFinalWrites),
-			fmt.Sprint(s.ResidualDivergence), fmt.Sprint(s.DLQ),
-			fmt.Sprint(s.Injected), fmt.Sprint(s.Retries), fmt.Sprint(s.BreakerOpens),
-			fmt.Sprint(s.Redrives), f64(s.CostUSD), f64(s.CostOverheadPct),
-			f64(s.LagP99S), fmt.Sprint(s.BacklogMax), f64(s.OldestAgeMaxS),
-			fmt.Sprint(s.SLOAlerts),
-		})
+		t.Add(s.Profile, s.Objects, s.Converged, s.ConvergencePct, s.P50S, s.P99S, s.DupFinalWrites,
+			s.ResidualDivergence, s.DLQ, s.Injected, s.Retries, s.BreakerOpens, s.Redrives, s.CostUSD,
+			s.CostOverheadPct, s.LagP99S, s.BacklogMax, s.OldestAgeMaxS, s.SLOAlerts)
 	}
-	return []CSVTable{t}
+	return []Table{t}
 }

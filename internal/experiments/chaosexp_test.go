@@ -16,7 +16,7 @@ func TestFaultMatrixDeterministic(t *testing.T) {
 			t.Fatal(err)
 		}
 		var buf bytes.Buffer
-		res.Print(&buf)
+		Print(&buf, res.Tables()...)
 		return res, buf.String()
 	}
 	a, atext := run()
@@ -68,8 +68,8 @@ func TestFaultMatrixAcceptance(t *testing.T) {
 			t.Fatal("mixed profile injected nothing; the scenario proved nothing")
 		}
 	}
-	tables := res.CSV()
+	tables := res.Tables()
 	if len(tables) != 1 || tables[0].Name != "fault_matrix" || len(tables[0].Rows) != len(res.Scenarios) {
-		t.Fatalf("CSV export malformed: %+v", tables)
+		t.Fatalf("tables malformed: %+v", tables)
 	}
 }

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"io"
 	"time"
 
 	"repro/internal/baselines"
@@ -121,19 +120,20 @@ func RunFig21(quick bool) *Fig21Result {
 	return res
 }
 
-// Print writes the two panels as rows.
-func (r *Fig21Result) Print(w io.Writer) {
-	fprintf(w, "COPY operation replication aws:us-east-1 -> aws:us-east-2 (Figure 21)\n")
-	fprintf(w, "%-8s | %18s | %18s | %18s | %18s\n", "size",
-		"Skyplane s/$", "S3RTC s/$", "AReplica-full s/$", "AReplica-log s/$")
-	for _, row := range r.Rows {
-		fprintf(w, "%-8s | %8.1f/%-9.4f | %8.1f/%-9.4f | %8.1f/%-9.4f | %8.1f/%-9.4f\n",
-			fmtSize(row.SizeBytes),
-			row.SkyplaneS, row.SkyplaneCost,
-			row.S3RTCS, row.S3RTCCost,
-			row.AReplicaFullS, row.AReplicaFullCost,
-			row.AReplicaLogS, row.AReplicaLogCost)
+// Tables returns the two panels as rows.
+func (r *Fig21Result) Tables() []Table {
+	t := Table{
+		Name:  "fig21_copy",
+		Title: "COPY operation replication aws:us-east-1 -> aws:us-east-2 (Figure 21)",
+		Cols: []Col{{"size_bytes", "%d"}, {"skyplane_s", "%.1f"}, {"skyplane_cost", "%.4f"},
+			{"s3rtc_s", "%.1f"}, {"s3rtc_cost", "%.4f"}, {"areplica_full_s", "%.1f"}, {"areplica_full_cost", "%.4f"},
+			{"areplica_log_s", "%.1f"}, {"areplica_log_cost", "%.4f"}},
 	}
+	for _, row := range r.Rows {
+		t.Add(row.SizeBytes, row.SkyplaneS, row.SkyplaneCost, row.S3RTCS, row.S3RTCCost,
+			row.AReplicaFullS, row.AReplicaFullCost, row.AReplicaLogS, row.AReplicaLogCost)
+	}
+	return []Table{t}
 }
 
 // Fig22Point is one update-frequency measurement.
@@ -221,18 +221,25 @@ func RunFig22(quick bool) *Fig22Result {
 	return res
 }
 
-// Print writes attainment and cost per frequency.
-func (r *Fig22Result) Print(w io.Writer) {
-	fprintf(w, "SLO-bounded batching, 100MB object, %s SLO (Figure 22)\n", r.SLO)
-	fprintf(w, "%10s | %22s | %24s | %18s\n", "updates/m",
-		"attainment w/ vs w/o", "cost $/min w/ vs w/o", "transfers w/ vs w/o")
-	for _, p := range r.Points {
-		fprintf(w, "%10d | %9.1f%% vs %7.1f%% | %10.4f vs %9.4f | %7d vs %8d\n",
-			p.UpdatesPerMin,
-			100*p.AttainmentBatched, 100*p.AttainmentUnbatched,
-			p.CostPerMinBatched, p.CostPerMinUnbatched,
-			p.TransfersBatched, p.TransfersUnbatched)
+// Tables returns attainment and cost per frequency, then (printed only)
+// the transfers each run made.
+func (r *Fig22Result) Tables() []Table {
+	freq := Col{"updates_per_min", "%d"}
+	t := Table{
+		Name:  "fig22_batching",
+		Title: fmt.Sprintf("SLO-bounded batching, 100MB object, %s SLO (Figure 22)", r.SLO),
+		Cols: []Col{freq, {"attain_batched", "%.3f"}, {"attain_unbatched", "%.3f"},
+			{"cost_min_batched", "%.4f"}, {"cost_min_unbatched", "%.4f"}},
 	}
+	transfers := Table{
+		Title: "Transfers per run (Figure 22)",
+		Cols:  []Col{freq, {"transfers_batched", "%d"}, {"transfers_unbatched", "%d"}},
+	}
+	for _, p := range r.Points {
+		t.Add(p.UpdatesPerMin, p.AttainmentBatched, p.AttainmentUnbatched, p.CostPerMinBatched, p.CostPerMinUnbatched)
+		transfers.Add(p.UpdatesPerMin, p.TransfersBatched, p.TransfersUnbatched)
+	}
+	return []Table{t, transfers}
 }
 
 // PartSizeRow is one part-size measurement of the ablation bench behind
@@ -290,11 +297,14 @@ func RunPartSizeAblation(quick bool) *PartSizeResult {
 	return res
 }
 
-// Print writes the sweep.
-func (r *PartSizeResult) Print(w io.Writer) {
-	fprintf(w, "Part-size ablation, 1GB azure:eastus -> gcp:asia-northeast1, 32 fns\n")
-	fprintf(w, "%10s %12s %12s\n", "part", "mean s", "cost $")
-	for _, row := range r.Rows {
-		fprintf(w, "%10s %12.2f %12.4f\n", fmt.Sprintf("%dMB", row.PartSize/MB), row.MeanS, row.CostUSD)
+// Tables returns the sweep (printed only).
+func (r *PartSizeResult) Tables() []Table {
+	t := Table{
+		Title: "Part-size ablation, 1GB azure:eastus -> gcp:asia-northeast1, 32 fns",
+		Cols:  []Col{{"part", "%s"}, {"mean_s", "%.2f"}, {"cost_usd", "%.4f"}},
 	}
+	for _, row := range r.Rows {
+		t.Add(fmtSize(row.PartSize), row.MeanS, row.CostUSD)
+	}
+	return []Table{t}
 }

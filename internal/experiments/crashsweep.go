@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"io"
 	"time"
 
 	"repro/internal/chaos"
@@ -231,40 +230,21 @@ func pointLabel(point string) string {
 	return point
 }
 
-// Print writes the sweep in the evaluation's table style.
-func (r *CrashSweepResult) Print(out io.Writer) {
-	fprintf(out, "Crash-point sweep: deterministic crash at each data-plane step (checkpointed resume)\n")
-	fprintf(out, "baseline: %d bytes moved, %d kv ops, %.2fs delay\n",
-		r.BaselineBytes, r.BaselineKVOps, r.BaselineDelayS)
-	fprintf(out, "%-20s %7s %9s %4s %7s %8s %9s %12s %7s %7s %4s %8s\n",
-		"crash point", "crashes", "converged", "dup", "resumed", "parts_in",
-		"reclaimed", "redone_bytes", "parts", "kv_ovh", "gc", "delay_s")
-	for _, p := range r.Points {
-		fprintf(out, "%-20s %7d %9v %4d %7d %8d %9d %12d %7.2f %7d %4d %8.2f\n",
-			p.Point, p.Crashes, p.Converged, p.DupFinalWrites, p.Resumed,
-			p.PartsResumed, p.PartsReclaimed, p.RedoneBytes, p.RedoneParts,
-			p.ExtraKVOps, p.GCAborted, p.DelayS)
-	}
-}
-
-// CSV exports the sweep.
-func (r *CrashSweepResult) CSV() []CSVTable {
-	t := CSVTable{
-		Name: "crash_sweep",
-		Header: []string{"point", "crashes", "converged", "dup_final_writes",
-			"resumed", "parts_resumed", "parts_reclaimed", "redone_bytes",
-			"redone_parts", "extra_kv_ops", "gc_aborted", "gc_bytes",
-			"mpus_left", "delay_s"},
+// Tables returns the sweep, one row per crash point.
+func (r *CrashSweepResult) Tables() []Table {
+	t := Table{
+		Name:  "crash_sweep",
+		Title: "Crash-point sweep: deterministic crash at each data-plane step (checkpointed resume)",
+		Cols: []Col{{"point", "%s"}, {"crashes", "%d"}, {"converged", "%v"}, {"dup_final_writes", "%d"},
+			{"resumed", "%d"}, {"parts_resumed", "%d"}, {"parts_reclaimed", "%d"}, {"redone_bytes", "%d"},
+			{"redone_parts", "%.2f"}, {"extra_kv_ops", "%d"}, {"gc_aborted", "%d"}, {"gc_bytes", "%d"},
+			{"mpus_left", "%d"}, {"delay_s", "%.2f"}},
+		Notes: []string{fmt.Sprintf("baseline: %d bytes moved, %d kv ops, %.2fs delay",
+			r.BaselineBytes, r.BaselineKVOps, r.BaselineDelayS)},
 	}
 	for _, p := range r.Points {
-		t.Rows = append(t.Rows, []string{
-			p.Point, fmt.Sprint(p.Crashes), fmt.Sprint(p.Converged),
-			fmt.Sprint(p.DupFinalWrites), fmt.Sprint(p.Resumed),
-			fmt.Sprint(p.PartsResumed), fmt.Sprint(p.PartsReclaimed),
-			fmt.Sprint(p.RedoneBytes), f64(p.RedoneParts),
-			fmt.Sprint(p.ExtraKVOps), fmt.Sprint(p.GCAborted),
-			fmt.Sprint(p.GCBytes), fmt.Sprint(p.MPUsLeft), f64(p.DelayS),
-		})
+		t.Add(p.Point, p.Crashes, p.Converged, p.DupFinalWrites, p.Resumed, p.PartsResumed, p.PartsReclaimed,
+			p.RedoneBytes, p.RedoneParts, p.ExtraKVOps, p.GCAborted, p.GCBytes, p.MPUsLeft, p.DelayS)
 	}
-	return []CSVTable{t}
+	return []Table{t}
 }

@@ -61,9 +61,9 @@ func TestCrashSweepRecovery(t *testing.T) {
 	if partsIn == 0 {
 		t.Error("no resumed task inherited delivered parts from its checkpoint")
 	}
-	tables := res.CSV()
+	tables := res.Tables()
 	if len(tables) != 1 || tables[0].Name != "crash_sweep" || len(tables[0].Rows) != len(res.Points) {
-		t.Fatalf("CSV export malformed: %+v", tables)
+		t.Fatalf("tables malformed: %+v", tables)
 	}
 }
 
@@ -77,7 +77,7 @@ func TestCrashSweepDeterministic(t *testing.T) {
 			t.Fatal(err)
 		}
 		var buf bytes.Buffer
-		res.Print(&buf)
+		Print(&buf, res.Tables()...)
 		return res, buf.String()
 	}
 	a, atext := run()

@@ -1,7 +1,7 @@
 package experiments
 
 import (
-	"io"
+	"fmt"
 	"sort"
 	"strings"
 	"testing"
@@ -49,7 +49,6 @@ func TestTable1ShapeAWS(t *testing.T) {
 			}
 		}
 	}
-	res.Print(io.Discard)
 }
 
 func TestTable2ShapeAzure(t *testing.T) {
@@ -61,7 +60,6 @@ func TestTable2ShapeAzure(t *testing.T) {
 			}
 		}
 	}
-	res.Print(io.Discard)
 }
 
 func TestFig4SkyplaneBreakdown(t *testing.T) {
@@ -81,7 +79,6 @@ func TestFig4SkyplaneBreakdown(t *testing.T) {
 	if vmFrac := res.Costs["vm:compute"] / total; vmFrac < 0.95 {
 		t.Errorf("VM cost fraction %.3f, want >0.95", vmFrac)
 	}
-	res.Print(io.Discard)
 }
 
 func TestFig5KeepAlivePolicies(t *testing.T) {
@@ -101,7 +98,6 @@ func TestFig5KeepAlivePolicies(t *testing.T) {
 	if twentySec >= fiveMin {
 		t.Errorf("20s policy (%v) should cost less than 5min (%v)", twentySec, fiveMin)
 	}
-	res.Print(io.Discard)
 }
 
 func TestFig6SweetSpot(t *testing.T) {
@@ -124,7 +120,6 @@ func TestFig6SweetSpot(t *testing.T) {
 	if byMem[8192] > byMem[1024]*1.25 {
 		t.Errorf("beyond the sweet spot should be flat: 1024=%v 8192=%v", byMem[1024], byMem[8192])
 	}
-	res.Print(io.Discard)
 }
 
 func TestFig7NearLinearScaling(t *testing.T) {
@@ -136,7 +131,6 @@ func TestFig7NearLinearScaling(t *testing.T) {
 			t.Errorf("%s: per-fn bandwidth drifted %v -> %v", s.Label, base, last)
 		}
 	}
-	res.Print(io.Discard)
 }
 
 func TestFig8AsymmetricExecution(t *testing.T) {
@@ -154,7 +148,6 @@ func TestFig8AsymmetricExecution(t *testing.T) {
 	if len(res.Bars) != 12 {
 		t.Fatalf("bars = %d, want 12", len(res.Bars))
 	}
-	res.Print(io.Discard)
 }
 
 func TestFig9InstanceSpread(t *testing.T) {
@@ -186,15 +179,14 @@ func TestFig9InstanceSpread(t *testing.T) {
 	// The result is a map; its table and CSV must still come out in
 	// instance order, the same bytes on every run.
 	render := func(r *Fig9Result) string {
-		var b strings.Builder
-		r.Print(&b)
-		rows := r.CSV()[0].Rows
-		if !sort.SliceIsSorted(rows, func(i, j int) bool { return rows[i][0] < rows[j][0] }) {
+		tables := r.Tables()
+		rows := tables[0].Rows
+		if !sort.SliceIsSorted(rows, func(i, j int) bool { return rows[i][0].(string) < rows[j][0].(string) }) {
 			t.Error("CSV rows not in instance order")
 		}
-		for _, row := range rows {
-			b.WriteString(strings.Join(row, ",") + "\n")
-		}
+		var b strings.Builder
+		Print(&b, tables...)
+		fmt.Fprint(&b, rows)
 		return b.String()
 	}
 	if a, b := render(res), render(RunFig9()); a != b {
@@ -213,7 +205,6 @@ func TestFig12Example(t *testing.T) {
 	if res.PoolSeconds > res.EqualSeconds || res.PoolSeconds < res.OptimalSeconds-0.01 {
 		t.Errorf("pool = %v, want between optimal and equal", res.PoolSeconds)
 	}
-	res.Print(io.Discard)
 }
 
 func TestFig17PoolBeatsFair(t *testing.T) {
@@ -243,7 +234,6 @@ func TestFig17PoolBeatsFair(t *testing.T) {
 	if pMax-pMin < 2 {
 		t.Errorf("pool should let fast instances take more chunks, got %d-%d", pMin, pMax)
 	}
-	res.Print(io.Discard)
 }
 
 func TestModelAccuracyOverestimatesButTracks(t *testing.T) {
@@ -262,7 +252,6 @@ func TestModelAccuracyOverestimatesButTracks(t *testing.T) {
 	}
 	checkBand("n=1", res.ActualN1, res.PredictedN1Mean)
 	checkBand("n=32", res.ActualN32, res.PredictedN32Mean)
-	res.Print(io.Discard)
 }
 
 func TestTable4PredictionsTrack(t *testing.T) {
@@ -275,7 +264,6 @@ func TestTable4PredictionsTrack(t *testing.T) {
 			t.Errorf("%s->%s: predicted %.2f vs measured %.2f", e.Src, e.Dst, e.PredMean, e.MeasuredMean)
 		}
 	}
-	res.Print(io.Discard)
 }
 
 func TestFig20DynamicPicksGoodSide(t *testing.T) {
@@ -296,7 +284,6 @@ func TestFig20DynamicPicksGoodSide(t *testing.T) {
 			t.Errorf("dest %s: dynamic %.1fs vs sides %.1f/%.1f", row.Dst, row.DynamicS, row.SrcSideS, row.DstSideS)
 		}
 	}
-	res.Print(io.Discard)
 }
 
 func TestFig21ChangelogNearZeroCost(t *testing.T) {
@@ -315,7 +302,6 @@ func TestFig21ChangelogNearZeroCost(t *testing.T) {
 			t.Errorf("size %s: log delay %.1fs vs rtc %.1fs", fmtSize(row.SizeBytes), row.AReplicaLogS, row.S3RTCS)
 		}
 	}
-	res.Print(io.Discard)
 }
 
 func TestFig22BatchingFlattensCost(t *testing.T) {
@@ -340,7 +326,6 @@ func TestFig22BatchingFlattensCost(t *testing.T) {
 			t.Errorf("freq %d: batched attainment %.2f", p.UpdatesPerMin, p.AttainmentBatched)
 		}
 	}
-	res.Print(io.Discard)
 }
 
 func TestFig16BulkShape(t *testing.T) {
@@ -356,7 +341,6 @@ func TestFig16BulkShape(t *testing.T) {
 			t.Errorf("%s->%s: AReplica cost %.2f vs Skyplane %.2f", p.Src, p.Dst, p.AReplicaCost, p.SkyplaneCost)
 		}
 	}
-	res.Print(io.Discard)
 }
 
 func TestFig23TailShape(t *testing.T) {
@@ -372,7 +356,6 @@ func TestFig23TailShape(t *testing.T) {
 	if res.AReplicaOverall > 15 {
 		t.Errorf("AReplica p99.99 = %.1fs, want near the paper's <10s", res.AReplicaOverall)
 	}
-	res.Print(io.Discard)
 }
 
 func TestFig2And3TraceShapes(t *testing.T) {
@@ -386,13 +369,11 @@ func TestFig2And3TraceShapes(t *testing.T) {
 	if le1MB < 70 || le1MB > 90 {
 		t.Errorf("count%% at or below 1MB = %.1f, want ~80", le1MB)
 	}
-	f2.Print(io.Discard)
 
 	f3 := RunFig3(true)
 	if len(f3.MBps) < 60 {
 		t.Fatalf("series = %d minutes", len(f3.MBps))
 	}
-	f3.Print(io.Discard)
 }
 
 func TestPartSizeAblationTradeoff(t *testing.T) {
@@ -415,7 +396,6 @@ func TestPartSizeAblationTradeoff(t *testing.T) {
 	if biggest.MeanS <= eight.MeanS {
 		t.Errorf("giant parts (%.1fs) should be slower than 8MB parts (%.1fs)", biggest.MeanS, eight.MeanS)
 	}
-	res.Print(io.Discard)
 }
 
 func TestOverlayRelayTradeoff(t *testing.T) {
@@ -431,5 +411,4 @@ func TestOverlayRelayTradeoff(t *testing.T) {
 	if res.RelayCost <= res.DirectCost*1.3 {
 		t.Errorf("relay cost %v should clearly exceed direct %v", res.RelayCost, res.DirectCost)
 	}
-	res.Print(io.Discard)
 }

@@ -3,9 +3,7 @@ package experiments
 import (
 	"fmt"
 	"hash/fnv"
-	"io"
 	"sort"
-	"strconv"
 	"time"
 
 	"repro/internal/cloud"
@@ -445,19 +443,34 @@ func RunFleet(cfg FleetConfig) (*FleetResult, error) {
 	return res, nil
 }
 
-// Print writes the scenario summary plus the ten most-contended rules;
-// the full per-rule table is exported via CSV.
-func (r *FleetResult) Print(w io.Writer) {
-	fprintf(w, "Fleet control plane: %d rules, %d entry points, %d trace ops\n", r.Rules, r.Entries, r.Ops)
-	fprintf(w, "  convergence %.1f%% (%d/%d audited keys, %d pending, %d DLQ, %d redriven), %d duplicate final writes\n",
-		r.ConvergencePct, r.Audited-r.Diverged, r.Audited, r.Pending, r.DLQ, r.Redriven, r.DupFinalWrites)
-	fprintf(w, "  fairness: lag p99 %.2fs..%.2fs (spread %.2fs), %d starvation marks\n",
-		r.LagP99MinS, r.LagP99MaxS, r.LagP99SpreadS, r.Starved)
-	fprintf(w, "  scheduler: %d admits, %d defers, %d quota waits; %d batches (mean %.1f)\n",
-		r.Admits, r.Defers, r.QuotaWaits, r.Batches, r.BatchMeanSize)
-	fprintf(w, "  quota: busiest lane %.1f%% of cap, %d forced admissions; cost $%.4f\n",
-		r.QuotaUtilPct, r.Forced, r.CostUSD)
-
+// Tables returns every rule's fairness row (exported only), then the ten
+// most-contended rules with the scenario summary as notes (printed only).
+func (r *FleetResult) Tables() []Table {
+	cols := []Col{{"rule", "%s"}, {"admits", "%d"}, {"defers", "%d"}, {"starved", "%d"},
+		{"quota_waits", "%d"}, {"max_queue", "%d"}, {"lag_p99_s", "%.2f"}}
+	add := func(t *Table, row FleetRuleRow) {
+		t.Add(row.Rule, row.Admits, row.Defers, row.Starved, row.QuotaWaits, row.MaxQueue, row.LagP99S)
+	}
+	all := Table{Name: "fleet_fairness", Cols: cols}
+	for _, row := range r.PerRule {
+		add(&all, row)
+	}
+	top := Table{
+		Title: fmt.Sprintf("Fleet control plane: %d rules, %d entry points, %d trace ops; ten most contended rules",
+			r.Rules, r.Entries, r.Ops),
+		Cols: cols,
+		Notes: []string{
+			fmt.Sprintf("convergence %.1f%% (%d/%d audited keys, %d pending, %d DLQ, %d redriven), %d duplicate final writes",
+				r.ConvergencePct, r.Audited-r.Diverged, r.Audited, r.Pending, r.DLQ, r.Redriven, r.DupFinalWrites),
+			fmt.Sprintf("fairness: lag p99 %.2fs..%.2fs (spread %.2fs), %d starvation marks",
+				r.LagP99MinS, r.LagP99MaxS, r.LagP99SpreadS, r.Starved),
+			fmt.Sprintf("scheduler: %d admits, %d defers, %d quota waits; %d batches (mean %.1f)",
+				r.Admits, r.Defers, r.QuotaWaits, r.Batches, r.BatchMeanSize),
+			fmt.Sprintf("quota: busiest lane %.1f%% of cap, %d forced admissions; cost $%.4f",
+				r.QuotaUtilPct, r.Forced, r.CostUSD),
+			fmt.Sprintf("%d replicated objects over %.1f virtual hours", r.ReplicatedObjects, r.VirtualHours),
+		},
+	}
 	rows := append([]FleetRuleRow(nil), r.PerRule...)
 	sort.Slice(rows, func(i, j int) bool {
 		if rows[i].MaxQueue != rows[j].MaxQueue {
@@ -465,31 +478,8 @@ func (r *FleetResult) Print(w io.Writer) {
 		}
 		return rows[i].Rule < rows[j].Rule
 	})
-	if len(rows) > 10 {
-		rows = rows[:10]
+	for _, row := range rows[:min(len(rows), 10)] {
+		add(&top, row)
 	}
-	fprintf(w, "  most contended rules:\n")
-	fprintf(w, "  %-52s %7s %7s %7s %7s %6s %8s\n", "rule", "admits", "defers", "starve", "qwaits", "maxq", "lag_p99")
-	for _, row := range rows {
-		fprintf(w, "  %-52s %7d %7d %7d %7d %6d %8.2f\n",
-			row.Rule, row.Admits, row.Defers, row.Starved, row.QuotaWaits, row.MaxQueue, row.LagP99S)
-	}
-}
-
-// CSV exports the full per-rule fairness table (the CI artifact).
-func (r *FleetResult) CSV() []CSVTable {
-	t := CSVTable{Name: "fleet_fairness", Header: []string{
-		"rule", "admits", "defers", "starved", "quota_waits", "max_queue", "lag_p99_s"}}
-	for _, row := range r.PerRule {
-		t.Rows = append(t.Rows, []string{
-			row.Rule,
-			strconv.FormatInt(row.Admits, 10),
-			strconv.FormatInt(row.Defers, 10),
-			strconv.FormatInt(row.Starved, 10),
-			strconv.FormatInt(row.QuotaWaits, 10),
-			strconv.Itoa(row.MaxQueue),
-			f64(row.LagP99S),
-		})
-	}
-	return []CSVTable{t}
+	return []Table{all, top}
 }

@@ -1,7 +1,7 @@
 package experiments
 
 import (
-	"io"
+	"fmt"
 	"sync"
 
 	"repro/internal/cloud"
@@ -79,13 +79,17 @@ func RunOverlayAblation(quick bool) *OverlayResult {
 	return res
 }
 
-// Print writes the trade-off.
-func (r *OverlayResult) Print(w io.Writer) {
-	fprintf(w, "Serverless overlay relay ablation (§6 extension), %s %s -> %s via %s\n",
-		fmtSize(r.SizeBytes), r.Src, r.Dst, r.Relay)
-	fprintf(w, "  direct:     %6.1fs  $%.4f/object\n", r.DirectS, r.DirectCost)
-	fprintf(w, "  with relay: %6.1fs  $%.4f/object (relay chosen: %v)\n", r.RelayS, r.RelayCost, r.RelayChosen)
-	if r.RelayS > 0 {
-		fprintf(w, "  speedup %.2fx at %.2fx the cost\n", r.DirectS/r.RelayS, r.RelayCost/r.DirectCost)
+// Tables returns the trade-off (printed only).
+func (r *OverlayResult) Tables() []Table {
+	t := Table{
+		Title: fmt.Sprintf("Serverless overlay relay ablation (§6 extension), %s %s -> %s via %s",
+			fmtSize(r.SizeBytes), r.Src, r.Dst, r.Relay),
+		Cols: []Col{{"path", "%s"}, {"seconds", "%.1f"}, {"usd_per_object", "%.4f"}, {"relay_chosen", "%v"}},
 	}
+	t.Add("direct", r.DirectS, r.DirectCost, false)
+	t.Add("with relay", r.RelayS, r.RelayCost, r.RelayChosen)
+	if r.RelayS > 0 {
+		t.Notes = []string{fmt.Sprintf("speedup %.2fx at %.2fx the cost", r.DirectS/r.RelayS, r.RelayCost/r.DirectCost)}
+	}
+	return []Table{t}
 }

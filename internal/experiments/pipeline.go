@@ -2,8 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"io"
-	"strconv"
 	"sync"
 
 	"repro/internal/cloud"
@@ -147,29 +145,17 @@ func runPipelineConfig(label string, src, dst cloud.RegionID, size int64, object
 	}
 }
 
-// Print writes the ablation in the evaluation's table style.
-func (r *PipelineResult) Print(w io.Writer) {
-	fprintf(w, "Pipelined data plane ablation: %s %s -> %s, %d fns, %d objects\n",
-		fmtSize(r.SizeBytes), r.Src, r.Dst, r.N, r.Objects)
-	fprintf(w, "  %-14s %8s %8s %10s %7s %9s %12s\n",
-		"config", "p50_s", "p99_s", "kv_ops/obj", "hedged", "part_mb", "cost/obj")
-	for _, row := range r.Rows {
-		fprintf(w, "  %-14s %8.2f %8.2f %10.1f %7d %9.1f %12.6f\n",
-			row.Label, row.P50S, row.P99S, row.KVOpsPerObj, row.HedgedParts,
-			float64(row.PartSizeBytes)/(1<<20), row.CostPerObjUSD)
+// Tables returns the ablation rows.
+func (r *PipelineResult) Tables() []Table {
+	t := Table{
+		Name: "pipeline_ablation",
+		Title: fmt.Sprintf("Pipelined data plane ablation: %s %s -> %s, %d fns, %d objects",
+			fmtSize(r.SizeBytes), r.Src, r.Dst, r.N, r.Objects),
+		Cols: []Col{{"config", "%s"}, {"p50_s", "%.2f"}, {"p99_s", "%.2f"}, {"kv_ops_per_obj", "%.1f"},
+			{"hedged_parts", "%d"}, {"part_bytes", "%d"}, {"cost_per_obj_usd", "%.6f"}},
 	}
-}
-
-// CSV exports the ablation rows.
-func (r *PipelineResult) CSV() []CSVTable {
-	t := CSVTable{Name: "pipeline_ablation", Header: []string{
-		"config", "p50_s", "p99_s", "kv_ops_per_obj", "hedged_parts", "part_bytes", "cost_per_obj_usd"}}
 	for _, row := range r.Rows {
-		t.Rows = append(t.Rows, []string{
-			row.Label, f64(row.P50S), f64(row.P99S), f64(row.KVOpsPerObj),
-			strconv.FormatInt(row.HedgedParts, 10), strconv.FormatInt(row.PartSizeBytes, 10),
-			f64(row.CostPerObjUSD),
-		})
+		t.Add(row.Label, row.P50S, row.P99S, row.KVOpsPerObj, row.HedgedParts, row.PartSizeBytes, row.CostPerObjUSD)
 	}
-	return []CSVTable{t}
+	return []Table{t}
 }

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"io"
 	"time"
 
 	"repro/internal/chaos"
@@ -64,7 +63,7 @@ type ScrubResult struct {
 // notification-driven replication alone diverges; each cadence row shows
 // the residual divergence going to zero, the divergence age the cadence
 // bounds, and the digest/repair dollars it costs. Deterministic per
-// profile seed: the same config yields byte-identical Print output.
+// profile seed: the same config yields byte-identical tables.
 func RunScrub(cfg ScrubConfig) (*ScrubResult, error) {
 	cadences := cfg.Cadences
 	if len(cadences) == 0 {
@@ -206,41 +205,22 @@ func runScrubScenario(prof chaos.Profile, cadence time.Duration, objects int, qu
 	}, nil
 }
 
-// Print writes the sweep in the evaluation's table style.
-func (r *ScrubResult) Print(out io.Writer) {
-	fprintf(out, "Anti-entropy: scrub cadence x residual divergence/age/cost (profile %s)\n", r.Profile)
-	fprintf(out, "%-8s %9s %6s %9s %7s %8s %8s %7s %10s %9s %9s %4s %10s %10s %9s\n",
-		"cadence", "converged", "pct", "residual", "rounds", "repairs", "redriven",
-		"slo_vio", "digest_b", "age_p50s", "age_max_s", "dup", "cost_usd", "scrub_usd", "overhead")
-	for _, p := range r.Points {
-		fprintf(out, "%-8s %5d/%-3d %5.1f%% %9d %7d %8d %8d %7d %10d %9.1f %9.1f %4d %10.4f %10.4f %8.1f%%\n",
-			p.Cadence, p.Converged, p.Objects, p.ConvergencePct, p.ResidualDivergence,
-			p.Rounds, p.RepairsDispatched, p.RepairsRedriven, p.SLOViolations,
-			p.DigestBytes, p.RepairAgeP50S, p.RepairAgeMaxS, p.DupFinalWrites,
-			p.TotalCostUSD, p.ScrubCostUSD, p.CostOverheadPct)
-	}
-}
-
-// CSV exports the sweep.
-func (r *ScrubResult) CSV() []CSVTable {
-	t := CSVTable{
-		Name: "scrub_cadence",
-		Header: []string{"cadence", "cadence_s", "objects", "converged", "convergence_pct",
-			"residual_divergence", "rounds", "repairs_dispatched", "repairs_redriven",
-			"repairs_deduped", "slo_violations", "digest_bytes", "repair_age_p50_s",
-			"repair_age_max_s", "dup_final_writes", "total_cost_usd", "scrub_cost_usd",
-			"cost_overhead_pct"},
+// Tables returns the sweep, one row per cadence.
+func (r *ScrubResult) Tables() []Table {
+	t := Table{
+		Name:  "scrub_cadence",
+		Title: fmt.Sprintf("Anti-entropy: scrub cadence x residual divergence/age/cost (profile %s)", r.Profile),
+		Cols: []Col{{"cadence", "%s"}, {"cadence_s", "%.0f"}, {"objects", "%d"}, {"converged", "%d"},
+			{"convergence_pct", "%.1f"}, {"residual_divergence", "%d"}, {"rounds", "%d"},
+			{"repairs_dispatched", "%d"}, {"repairs_redriven", "%d"}, {"repairs_deduped", "%d"},
+			{"slo_violations", "%d"}, {"digest_bytes", "%d"}, {"repair_age_p50_s", "%.1f"},
+			{"repair_age_max_s", "%.1f"}, {"dup_final_writes", "%d"}, {"total_cost_usd", "%.4f"},
+			{"scrub_cost_usd", "%.4f"}, {"cost_overhead_pct", "%.1f"}},
 	}
 	for _, p := range r.Points {
-		t.Rows = append(t.Rows, []string{
-			p.Cadence, f64(p.CadenceS), fmt.Sprint(p.Objects), fmt.Sprint(p.Converged),
-			f64(p.ConvergencePct), fmt.Sprint(p.ResidualDivergence), fmt.Sprint(p.Rounds),
-			fmt.Sprint(p.RepairsDispatched), fmt.Sprint(p.RepairsRedriven),
-			fmt.Sprint(p.RepairsDeduped), fmt.Sprint(p.SLOViolations),
-			fmt.Sprint(p.DigestBytes), f64(p.RepairAgeP50S), f64(p.RepairAgeMaxS),
-			fmt.Sprint(p.DupFinalWrites), f64(p.TotalCostUSD), f64(p.ScrubCostUSD),
-			f64(p.CostOverheadPct),
-		})
+		t.Add(p.Cadence, p.CadenceS, p.Objects, p.Converged, p.ConvergencePct, p.ResidualDivergence, p.Rounds,
+			p.RepairsDispatched, p.RepairsRedriven, p.RepairsDeduped, p.SLOViolations, p.DigestBytes,
+			p.RepairAgeP50S, p.RepairAgeMaxS, p.DupFinalWrites, p.TotalCostUSD, p.ScrubCostUSD, p.CostOverheadPct)
 	}
-	return []CSVTable{t}
+	return []Table{t}
 }

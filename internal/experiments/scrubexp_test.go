@@ -40,9 +40,9 @@ func TestScrubSweepAcceptance(t *testing.T) {
 			t.Fatalf("cadence %s repaired nothing yet converged; audit is broken", p.Cadence)
 		}
 	}
-	tables := res.CSV()
+	tables := res.Tables()
 	if len(tables) != 1 || tables[0].Name != "scrub_cadence" || len(tables[0].Rows) != len(res.Points) {
-		t.Fatalf("CSV export malformed: %+v", tables)
+		t.Fatalf("tables malformed: %+v", tables)
 	}
 }
 
@@ -55,7 +55,7 @@ func TestScrubSweepDeterministic(t *testing.T) {
 			t.Fatal(err)
 		}
 		var buf bytes.Buffer
-		res.Print(&buf)
+		Print(&buf, res.Tables()...)
 		return buf.String()
 	}
 	if a, b := run(), run(); a != b {

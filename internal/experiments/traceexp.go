@@ -1,7 +1,7 @@
 package experiments
 
 import (
-	"io"
+	"fmt"
 	"time"
 
 	"repro/internal/baselines"
@@ -46,13 +46,17 @@ func RunFig2(quick bool) *Fig2Result {
 	return res
 }
 
-// Print writes the histogram.
-func (r *Fig2Result) Print(w io.Writer) {
-	fprintf(w, "PUT request size distribution, %d PUTs (Figure 2)\n", r.TotalPuts)
-	fprintf(w, "%-10s %10s %10s\n", "bucket", "count%", "capacity%")
-	for i, l := range r.Labels {
-		fprintf(w, "%-10s %10.2f %10.2f\n", l, r.CountPct[i], r.CapacityPct[i])
+// Tables returns the histogram.
+func (r *Fig2Result) Tables() []Table {
+	t := Table{
+		Name:  "fig2_put_sizes",
+		Title: fmt.Sprintf("PUT request size distribution, %d PUTs (Figure 2)", r.TotalPuts),
+		Cols:  []Col{{"bucket", "%s"}, {"count_pct", "%.2f"}, {"capacity_pct", "%.2f"}},
 	}
+	for i, l := range r.Labels {
+		t.Add(l, r.CountPct[i], r.CapacityPct[i])
+	}
+	return []Table{t}
 }
 
 // Fig3Result reproduces Figure 3: per-minute write throughput over a
@@ -72,22 +76,23 @@ func RunFig3(quick bool) *Fig3Result {
 	return &Fig3Result{MBps: trace.ThroughputSeries(ops)}
 }
 
-// Print summarizes the series (min/mean/max and variation).
-func (r *Fig3Result) Print(w io.Writer) {
+// Tables returns the per-minute series (exported only), then its min,
+// mean, max and swing (printed only).
+func (r *Fig3Result) Tables() []Table {
+	series := Table{Name: "fig3_throughput", Cols: []Col{{"minute", "%d"}, {"mb_per_s", "%.1f"}}}
 	lo, hi := r.MBps[0], r.MBps[0]
 	var sum float64
-	for _, v := range r.MBps {
-		if v < lo {
-			lo = v
-		}
-		if v > hi {
-			hi = v
-		}
+	for i, v := range r.MBps {
+		series.Add(i, v)
+		lo, hi = min(lo, v), max(hi, v)
 		sum += v
 	}
-	fprintf(w, "Write throughput over %d minutes (Figure 3)\n", len(r.MBps))
-	fprintf(w, "  min %.1f MB/s, mean %.1f MB/s, max %.1f MB/s (%.1fx swing)\n",
-		lo, sum/float64(len(r.MBps)), hi, hi/(lo+0.01))
+	summary := Table{
+		Title: fmt.Sprintf("Write throughput over %d minutes (Figure 3)", len(r.MBps)),
+		Cols:  []Col{{"min_mb_per_s", "%.1f"}, {"mean_mb_per_s", "%.1f"}, {"max_mb_per_s", "%.1f"}, {"swing", "%.1f"}},
+	}
+	summary.Add(lo, sum/float64(len(r.MBps)), hi, hi/(lo+0.01))
+	return []Table{series, summary}
 }
 
 // Fig5Policy is one VM shutdown policy's trace-replay outcome.
@@ -166,13 +171,17 @@ func applyTraceOp(w *world.World, region cloud.RegionID, bucket string, op trace
 	}
 }
 
-// Print writes the per-policy outcome.
-func (r *Fig5Result) Print(w io.Writer) {
-	fprintf(w, "Skyplane on a dynamic workload, %d ops (Figure 5)\n", r.Ops)
-	fprintf(w, "%12s %10s %10s %10s %12s\n", "idle", "p50(s)", "p99(s)", "max(s)", "VM cost ($)")
-	for _, p := range r.Policies {
-		fprintf(w, "%12s %10.1f %10.1f %10.1f %12.3f\n", p.IdleTimeout, p.P50S, p.P99S, p.MaxS, p.VMCost)
+// Tables returns the per-policy outcome (printed only).
+func (r *Fig5Result) Tables() []Table {
+	t := Table{
+		Title: fmt.Sprintf("Skyplane on a dynamic workload, %d ops (Figure 5)", r.Ops),
+		Cols: []Col{{"idle", "%s"}, {"p50_s", "%.1f"}, {"p99_s", "%.1f"}, {"max_s", "%.1f"},
+			{"vm_cost_usd", "%.3f"}},
 	}
+	for _, p := range r.Policies {
+		t.Add(p.IdleTimeout, p.P50S, p.P99S, p.MaxS, p.VMCost)
+	}
+	return []Table{t}
 }
 
 // Fig23Result reproduces Figure 23: per-minute p99.99 replication delay on
@@ -264,17 +273,22 @@ func recordSeries(tr *engine.Tracker) ([]time.Time, []float64) {
 	return times, delays
 }
 
-// Print writes the per-minute series and overall tail.
-func (r *Fig23Result) Print(w io.Writer) {
-	fprintf(w, "Production trace p99.99 replication delay (Figure 23), %d ops\n", r.Ops)
-	fprintf(w, "  overall p99.99: AReplica %.1fs (%d resolved) vs S3RTC %.1fs (%d resolved)\n",
-		r.AReplicaOverall, r.AReplicaResolved, r.S3RTCOverall, r.S3RTCResolved)
-	fprintf(w, "  per-minute p99.99 (s):\n   min  AReplica  S3RTC\n")
-	n := len(r.AReplicaP9999)
-	if len(r.S3RTCP9999) < n {
-		n = len(r.S3RTCP9999)
+// Tables returns the overall tail (printed only), then the per-minute
+// series.
+func (r *Fig23Result) Tables() []Table {
+	overall := Table{
+		Title: fmt.Sprintf("Production trace p99.99 replication delay (Figure 23), %d ops", r.Ops),
+		Cols:  []Col{{"system", "%s"}, {"p9999_s", "%.1f"}, {"resolved", "%d"}},
 	}
-	for i := 0; i < n; i++ {
-		fprintf(w, "  %4d %9.1f %7.1f\n", i, r.AReplicaP9999[i], r.S3RTCP9999[i])
+	overall.Add("areplica", r.AReplicaOverall, r.AReplicaResolved)
+	overall.Add("s3rtc", r.S3RTCOverall, r.S3RTCResolved)
+	series := Table{
+		Name:  "fig23_p9999",
+		Title: "Per-minute p99.99 replication delay (Figure 23)",
+		Cols:  []Col{{"minute", "%d"}, {"areplica_s", "%.1f"}, {"s3rtc_s", "%.1f"}},
 	}
+	for i := range min(len(r.AReplicaP9999), len(r.S3RTCP9999)) {
+		series.Add(i, r.AReplicaP9999[i], r.S3RTCP9999[i])
+	}
+	return []Table{overall, series}
 }
