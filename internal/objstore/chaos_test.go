@@ -136,3 +136,98 @@ func TestChaosNotificationLossAndDuplication(t *testing.T) {
 		t.Fatalf("duplicated stats = %d, want 1", s2.Stats().NotifyDuped)
 	}
 }
+
+// TestStoreInjectorFailsOnlyItsStoreAndHeals pins what tests rely on when
+// they arm one store's faults: an injector with ObjFailRate 1 set on a
+// single store fails every request that goes through maybeFail with
+// ErrUnavailable and counts each in Stats().Failures; a store in another
+// region on the same clock is untouched; SetChaos(nil) heals the store.
+func TestStoreInjectorFailsOnlyItsStoreAndHeals(t *testing.T) {
+	clk := simclock.New(epoch)
+	reg := telemetry.NewRegistry()
+	meter := pricing.NewMeter()
+	down := New(clk, cloud.MustLookup("aws:us-east-1"), meter)
+	up := New(clk, cloud.MustLookup("gcp:us-east1"), meter)
+
+	type request struct {
+		op   string
+		call func() error
+	}
+	// requests sets up a key and two uploads on s, then returns one
+	// request per maybeFail call site, in an order that succeeds on a
+	// healthy store.
+	requests := func(s *Store) []request {
+		if err := s.CreateBucket("b", false); err != nil {
+			t.Fatal(err)
+		}
+		var done, aborted string
+		clk.Go(func() {
+			if _, err := s.Put("b", "k", BlobOfSize(100, 1)); err != nil {
+				t.Error(err)
+			}
+			var err error
+			if done, err = s.CreateMultipart("b", "m"); err != nil {
+				t.Error(err)
+			}
+			if _, err = s.UploadPart(done, 1, BlobOfSize(100, 2)); err != nil {
+				t.Error(err)
+			}
+			if aborted, err = s.CreateMultipart("b", "a"); err != nil {
+				t.Error(err)
+			}
+		})
+		clk.Quiesce()
+		blob := BlobOfSize(100, 3)
+		return []request{
+			{"put", func() error { _, err := s.Put("b", "k2", blob); return err }},
+			{"get", func() error { _, err := s.Get("b", "k"); return err }},
+			{"head", func() error { _, err := s.Head("b", "k"); return err }},
+			{"get_range", func() error { _, _, err := s.GetRange("b", "k", 0, 10); return err }},
+			{"copy", func() error { _, err := s.Copy("b", "k", "b", "k3", ""); return err }},
+			{"compose", func() error { _, err := s.ComposeWithOrigin("b", "k4", []string{"k", "k2"}, nil, ""); return err }},
+			{"list", func() error { _, _, err := s.ListPage("b", "", "", 10); return err }},
+			{"mpu_create", func() error { _, err := s.CreateMultipart("b", "m2"); return err }},
+			{"mpu_upload", func() error { _, err := s.UploadPart(done, 2, blob); return err }},
+			{"mpu_head", func() error { _, err := s.HeadMultipart(done); return err }},
+			{"mpu_list", func() error { _, _, err := s.ListMultipartsPage("b", ""); return err }},
+			{"mpu_complete", func() error { _, err := s.CompleteMultipart(done); return err }},
+			{"mpu_abort", func() error { return s.AbortMultipart(aborted) }},
+			{"delete", func() error { return s.Delete("b", "k") }},
+		}
+	}
+	downReqs, upReqs := requests(down), requests(up)
+
+	down.SetChaos(chaos.NewInjector(clk, chaos.Profile{Name: "down", ObjFailRate: 1}, reg))
+	clk.Go(func() {
+		for i, r := range downReqs {
+			if err := r.call(); !errors.Is(err, ErrUnavailable) {
+				t.Errorf("%s on the armed store = %v, want ErrUnavailable", r.op, err)
+			}
+			if got, want := down.Stats().Failures, int64(i+1); got != want {
+				t.Errorf("after %s, Stats().Failures = %d, want %d", r.op, got, want)
+			}
+		}
+		for _, r := range upReqs {
+			if err := r.call(); err != nil {
+				t.Errorf("%s on the other region's store = %v, want nil", r.op, err)
+			}
+		}
+	})
+	clk.Quiesce()
+	if got := up.Stats().Failures; got != 0 {
+		t.Fatalf("the other region's store counted %d failures, want 0", got)
+	}
+
+	down.SetChaos(nil)
+	clk.Go(func() {
+		for _, r := range downReqs {
+			if err := r.call(); err != nil {
+				t.Errorf("%s after SetChaos(nil) = %v, want nil", r.op, err)
+			}
+		}
+	})
+	clk.Quiesce()
+	if got, want := down.Stats().Failures, int64(len(downReqs)); got != want {
+		t.Fatalf("healed store counted %d failures, want %d", got, want)
+	}
+}
