@@ -22,7 +22,9 @@
 //	// handle err
 //	sim.PutObject("aws:us-east-1", "photos", "cat.jpg", 2<<20)
 //	sim.Wait() // run the simulation to completion
-//	fmt.Println(rep.Delays())
+//	for _, r := range rep.Records() {
+//		fmt.Println(r.Key, r.Delay)
+//	}
 //
 // Everything runs on a virtual clock: simulated hours complete in
 // milliseconds, deterministically.
@@ -304,15 +306,6 @@ type DelayRecord = engine.DelayRecord
 // Records returns per-write replication delays resolved so far.
 func (r *Replication) Records() []DelayRecord { return r.svc.Tracker().Records() }
 
-// Delays returns the resolved replication delays.
-func (r *Replication) Delays() []time.Duration {
-	var out []time.Duration
-	for _, rec := range r.svc.Tracker().Records() {
-		out = append(out, rec.Delay)
-	}
-	return out
-}
-
 // SyncExisting backfills objects that existed in the source bucket before
 // the rule was deployed (or that have drifted), returning how many were
 // scheduled. Run the simulation (Wait) afterwards to let them converge.
@@ -422,13 +415,6 @@ func (r *Replication) StartScrub() error {
 	}
 	r.svc.Scrubber.Start()
 	return nil
-}
-
-// StopScrub makes a running scrub loop exit after its current round.
-func (r *Replication) StopScrub() {
-	if r.svc.Scrubber != nil {
-		r.svc.Scrubber.Stop()
-	}
 }
 
 // ScrubUntilClean runs scrub rounds a cadence apart until the bucket pair

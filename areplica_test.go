@@ -44,9 +44,9 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 	if got.ETag != info.ETag || got.Size != 4<<20 {
 		t.Fatalf("replica mismatch: %+v vs %+v", got, info)
 	}
-	delays := rep.Delays()
-	if len(delays) != 1 || delays[0] <= 0 || delays[0] > 20*time.Second {
-		t.Fatalf("delays = %v", delays)
+	recs := rep.Records()
+	if len(recs) != 1 || recs[0].Delay <= 0 || recs[0].Delay > 20*time.Second {
+		t.Fatalf("records = %+v", recs)
 	}
 	if rep.Pending() != 0 {
 		t.Fatal("pending writes remain")
@@ -131,13 +131,13 @@ func TestBatchingCoalescesUpdates(t *testing.T) {
 	sim.Wait()
 
 	// All ten versions must be resolved within the SLO...
-	delays := rep.Delays()
-	if len(delays) != 10 {
-		t.Fatalf("resolved %d of 10", len(delays))
+	recs := rep.Records()
+	if len(recs) != 10 {
+		t.Fatalf("resolved %d of 10", len(recs))
 	}
 	var violations int
-	for _, d := range delays {
-		if d > 30*time.Second {
+	for _, r := range recs {
+		if r.Delay > 30*time.Second {
 			violations++
 		}
 	}
@@ -385,7 +385,7 @@ func TestRegisterConcatThroughFacade(t *testing.T) {
 	// the changelog; the destination rebuilds the joined object locally.
 	egressBefore := sim.CostBreakdown()["net:egress"]
 	w := sim.World()
-	res, err := w.Region("aws:us-east-1").Obj.Compose("src", "joined", []string{"seg-0", "seg-1"}, nil)
+	res, err := w.Region("aws:us-east-1").Obj.ComposeWithOrigin("src", "joined", []string{"seg-0", "seg-1"}, nil, "")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -294,10 +294,19 @@ func Example_traceReplay() {
 
 	// A 15-minute busy-tenant trace: skewed sizes, bursty minute rates.
 	ops := trace.Generate(trace.DefaultConfig(15*time.Minute, 120))
-	st := trace.Summarize(ops)
+	var puts, small int
+	var bytes int64
+	for _, op := range ops {
+		if op.Type == trace.OpPut {
+			puts++
+			bytes += op.Size
+			if op.Size <= 1<<20 {
+				small++
+			}
+		}
+	}
 	fmt.Printf("replaying %d ops (%d PUT / %d DELETE, %.2f GB, %.0f%% PUTs <= 1MB)\n",
-		st.Ops, st.Puts, st.Deletes, float64(st.Bytes)/(1<<30),
-		100*float64(st.PutsLE1MB)/float64(st.Puts))
+		len(ops), puts, len(ops)-puts, float64(bytes)/(1<<30), 100*float64(small)/float64(puts))
 
 	trace.Replay(sim.World().Clock, ops, func(op trace.Op) {
 		if op.Type == trace.OpDelete {

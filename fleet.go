@@ -14,20 +14,14 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/fleet"
 )
 
-// Fleet topology and accounting types; see internal/core and
-// internal/fleet for their fields.
+// Fleet topology types; see internal/core for their fields.
 type (
 	FleetRule    = core.FleetRule
 	FleetDst     = core.FleetDst
 	FleetHop     = core.FleetHop
 	FleetOptions = core.FleetOptions
-
-	FleetRuleStats  = fleet.RuleStats
-	FleetLaneStats  = fleet.LaneStats
-	FleetBatchStats = fleet.BatchStats
 )
 
 // OriginOf returns the origin tag the given rule's engine stamps on its

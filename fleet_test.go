@@ -315,13 +315,13 @@ func TestFleetQuotaUnderChaos(t *testing.T) {
 				ln.Lane.Provider, ln.Lane.Region, ln.Forced)
 		}
 	}
-	var aws FleetLaneStats
+	var awsMax int
 	for _, ln := range lanes {
 		if ln.Lane.Region == "aws:us-east-1" {
-			aws = ln
+			awsMax = ln.MaxInflight
 		}
 	}
-	if aws.MaxInflight == 0 {
+	if awsMax == 0 {
 		t.Fatal("shared aws lane never admitted anything")
 	}
 

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/chaos"
 	"repro/internal/stats"
 )
 
@@ -153,15 +154,15 @@ func TestSLOAttainmentUnderBurst(t *testing.T) {
 	}
 	sim.Wait()
 
-	delays := rep.Delays()
-	if len(delays) != 120 {
-		t.Fatalf("resolved %d of 120", len(delays))
+	recs := rep.Records()
+	if len(recs) != 120 {
+		t.Fatalf("resolved %d of 120", len(recs))
 	}
 	var secs []float64
 	misses := 0
-	for _, d := range delays {
-		secs = append(secs, d.Seconds())
-		if d > 15*time.Second {
+	for _, r := range recs {
+		secs = append(secs, r.Delay.Seconds())
+		if r.Delay > 15*time.Second {
 			misses++
 		}
 	}
@@ -191,14 +192,16 @@ func TestFanoutUnderFaults(t *testing.T) {
 		}
 		reps = append(reps, rep)
 	}
-	sim.World().Region("aws:us-east-1").Obj.SetFailureRate(0.04)
+	w := sim.World()
+	flaky := chaos.Profile{Name: "d1-flaky", ObjFailRate: 0.04}
+	w.Region("aws:us-east-1").Obj.SetChaos(chaos.NewInjector(w.Clock, flaky, w.Metrics))
 	for i := 0; i < 8; i++ {
 		if _, err := sim.PutObject("gcp:us-east1", "src", fmt.Sprintf("o%d", i), 2<<20); err != nil {
 			t.Fatal(err)
 		}
 	}
 	sim.Wait()
-	sim.World().Region("aws:us-east-1").Obj.SetFailureRate(0)
+	w.Region("aws:us-east-1").Obj.SetChaos(nil)
 	for i, rep := range reps {
 		if got := len(rep.Records()); got != 8 {
 			t.Errorf("rule %d resolved %d of 8", i, got)

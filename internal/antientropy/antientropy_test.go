@@ -211,13 +211,15 @@ func TestScrubDLQRedriveRaceNoDuplicates(t *testing.T) {
 	w, svc := deployScrubbed(t, nil)
 	dups := watchDups(t, w, dstID, dstBucket)
 
-	w.Region(dstID).Obj.SetFailureRate(1.0) // destination hard down
+	dst := w.Region(dstID).Obj
+	down := chaos.NewInjector(w.Clock, chaos.Profile{Name: "dst-down", ObjFailRate: 1}, w.Metrics)
+	dst.SetChaos(down) // destination hard down
 	res := put(t, w, srcID, srcBucket, "victim", 2<<20, 1)
 	w.Clock.Quiesce() // burns retries, auto-redrives, then parks in the DLQ
 	if n := len(svc.Engine.DLQ()); n != 1 {
 		t.Fatalf("DLQ depth = %d, want 1", n)
 	}
-	w.Region(dstID).Obj.SetFailureRate(0) // destination heals
+	dst.SetChaos(nil) // destination heals
 
 	// Operator redrive and scrub repair race each other.
 	w.Clock.Go(func() { svc.Engine.RedriveDLQ() })
@@ -237,13 +239,13 @@ func TestScrubDLQRedriveRaceNoDuplicates(t *testing.T) {
 
 	// Same race the other way: the scrubber finds the parked key first and
 	// redrives it itself.
-	w.Region(dstID).Obj.SetFailureRate(1.0)
+	dst.SetChaos(down)
 	put(t, w, srcID, srcBucket, "victim2", 2<<20, 2)
 	w.Clock.Quiesce()
 	if n := len(svc.Engine.DLQ()); n != 1 {
 		t.Fatalf("DLQ depth = %d, want 1", n)
 	}
-	w.Region(dstID).Obj.SetFailureRate(0)
+	dst.SetChaos(nil)
 	rep2, err := svc.Scrubber.RunOnce()
 	if err != nil {
 		t.Fatal(err)

@@ -123,9 +123,8 @@ type Scrubber struct {
 	lastDivergent *telemetry.Gauge
 	ageHist       *telemetry.Histogram
 
-	mu      chanMutex
-	round   int
-	stopped bool
+	mu    chanMutex
+	round int
 }
 
 // chanMutex is a tiny mutex that does not show up in race profiles of the
@@ -168,34 +167,15 @@ func New(eng *engine.Engine, cfg Config) *Scrubber {
 // monitor's divergence signal.
 func (s *Scrubber) SLOViolationCount() int64 { return s.sloViolations.Value() }
 
-// Stop makes a running Start loop exit after its current round.
-func (s *Scrubber) Stop() {
-	s.mu.lock()
-	s.stopped = true
-	s.mu.unlock()
-}
-
-func (s *Scrubber) isStopped() bool {
-	s.mu.lock()
-	defer s.mu.unlock()
-	return s.stopped
-}
-
 // Start launches the periodic scrub loop as a clock actor: every Cadence it
 // runs one round, and it exits after stopAfterClean consecutive clean
-// rounds (or Stop). Self-termination keeps Quiesce well-defined — a loop
-// that re-armed its timer forever would hold the virtual clock open.
+// rounds. Self-termination keeps Quiesce well-defined — a loop that
+// re-armed its timer forever would hold the virtual clock open.
 func (s *Scrubber) Start() {
-	s.mu.lock()
-	s.stopped = false
-	s.mu.unlock()
 	s.w.Clock.Go(func() {
 		clean := 0
 		for {
 			s.w.Clock.Sleep(s.cfg.Cadence)
-			if s.isStopped() {
-				return
-			}
 			rep, err := s.RunOnce()
 			if err == nil && rep.Clean {
 				clean++

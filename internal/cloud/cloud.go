@@ -21,9 +21,6 @@ const (
 	GCP   Provider = "gcp"
 )
 
-// Providers lists all known providers in a stable order.
-func Providers() []Provider { return []Provider{AWS, Azure, GCP} }
-
 // Continent is a coarse geographic grouping used for egress pricing tiers.
 type Continent string
 
@@ -124,18 +121,6 @@ func AllRegions() []Region {
 		out = append(out, r)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].ID() < out[j].ID() })
-	return out
-}
-
-// RegionsOf returns the regions of one provider sorted by name.
-func RegionsOf(p Provider) []Region {
-	var out []Region
-	for _, r := range regions {
-		if r.Provider == p {
-			out = append(out, r)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
 	return out
 }
 

@@ -36,13 +36,17 @@ func TestParseRegionID(t *testing.T) {
 }
 
 func TestRegionsOfProvider(t *testing.T) {
-	if got := len(RegionsOf(AWS)); got != 5 {
+	n := map[Provider]int{}
+	for _, r := range AllRegions() {
+		n[r.Provider]++
+	}
+	if got := n[AWS]; got != 5 {
 		t.Errorf("AWS regions = %d, want 5", got)
 	}
-	if got := len(RegionsOf(Azure)); got != 4 {
+	if got := n[Azure]; got != 4 {
 		t.Errorf("Azure regions = %d, want 4", got)
 	}
-	if got := len(RegionsOf(GCP)); got != 4 {
+	if got := n[GCP]; got != 4 {
 		t.Errorf("GCP regions = %d, want 4", got)
 	}
 }

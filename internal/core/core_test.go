@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"repro/internal/changelog"
+	"repro/internal/chaos"
 	"repro/internal/cloud"
 	"repro/internal/engine"
 	"repro/internal/model"
@@ -165,15 +166,16 @@ func TestDeployKeepsRedriveDisabled(t *testing.T) {
 	w, svc := deployed(t, Options{Rule: engine.Rule{
 		Src: src, Dst: dst, SrcBucket: "s", DstBucket: "d", RedriveMax: -1,
 	}})
-	w.Region(dst).Obj.SetFailureRate(1.0)
+	down := chaos.Profile{Name: "dst-down", ObjFailRate: 1}
+	w.Region(dst).Obj.SetChaos(chaos.NewInjector(w.Clock, down, w.Metrics))
 	if _, err := w.Region(src).Obj.Put("s", "stuck", objstore.BlobOfSize(1<<20, 1)); err != nil {
 		t.Fatal(err)
 	}
 	w.Clock.Quiesce()
 
-	dlq := svc.Engine.DLQEntries()
-	if len(dlq) != 1 || dlq[0].Event.Key != "stuck" || dlq[0].Redrives != 0 {
-		t.Fatalf("dlq = %+v, want the event parked with no redrive consumed", dlq)
+	dlq := svc.Engine.DLQ()
+	if len(dlq) != 1 || dlq[0].Key != "stuck" {
+		t.Fatalf("dlq = %+v, want the stuck event parked", dlq)
 	}
 	if n := w.Metrics.Counter("engine.dlq.redriven").Value(); n != 0 {
 		t.Fatalf("%d automatic redrives with RedriveMax -1, want 0", n)

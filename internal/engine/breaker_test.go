@@ -130,7 +130,7 @@ func TestSetGaugesSumAcrossRules(t *testing.T) {
 	if err := w.Region(srcID).Obj.Subscribe(ruleB.SrcBucket, engB.HandleEvent); err != nil {
 		t.Fatal(err)
 	}
-	w.Region(dstID).Obj.SetFailureRate(1.0)
+	failObjRequests(w, dstID, 1.0)
 	fa.put(t, "k", 1<<20, 1)
 	for i, key := range []string{"k1", "k2"} {
 		if _, err := w.Region(srcID).Obj.Put(ruleB.SrcBucket, key, objstore.BlobOfSize(1<<20, uint64(i))); err != nil {
@@ -142,7 +142,7 @@ func TestSetGaugesSumAcrossRules(t *testing.T) {
 	if depth.Value() != 3 {
 		t.Fatalf("dlq.depth = %d, want 3 (A parked %d, B parked %d)", depth.Value(), len(fa.eng.DLQ()), len(engB.DLQ()))
 	}
-	w.Region(dstID).Obj.SetFailureRate(0)
+	w.Region(dstID).Obj.SetChaos(nil)
 	engB.RedriveDLQ()
 	if depth.Value() != 1 {
 		t.Fatalf("dlq.depth = %d after B's redrive, want A's parked event still counted", depth.Value())

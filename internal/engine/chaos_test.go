@@ -12,13 +12,21 @@ import (
 	"repro/internal/world"
 )
 
+// failObjRequests arms region's object store alone to fail a fraction
+// rate of its requests with objstore.ErrUnavailable; SetChaos(nil) heals
+// it.
+func failObjRequests(w *world.World, region cloud.RegionID, rate float64) {
+	prof := chaos.Profile{Name: "obj-fail", ObjFailRate: rate}
+	w.Region(region).Obj.SetChaos(chaos.NewInjector(w.Clock, prof, w.Metrics))
+}
+
 // TestSurvivesTransientStorageFaults injects "503 Slow Down"-class
 // failures into both object stores and verifies the engine's retry path
 // (§6: idempotent PUTs + auto-retry) still converges every object.
 func TestSurvivesTransientStorageFaults(t *testing.T) {
 	f := newFixture(t, nil)
-	f.w.Region(srcID).Obj.SetFailureRate(0.05)
-	f.w.Region(dstID).Obj.SetFailureRate(0.05)
+	failObjRequests(f.w, srcID, 0.05)
+	failObjRequests(f.w, dstID, 0.05)
 
 	// The workload writer retries its own PUTs, as any SDK client would.
 	putRetry := func(key string, seed uint64) string {
@@ -41,8 +49,8 @@ func TestSurvivesTransientStorageFaults(t *testing.T) {
 	f.w.Clock.Quiesce()
 
 	// Disable injection before auditing so the audit reads reliably.
-	f.w.Region(srcID).Obj.SetFailureRate(0)
-	f.w.Region(dstID).Obj.SetFailureRate(0)
+	f.w.Region(srcID).Obj.SetChaos(nil)
+	f.w.Region(dstID).Obj.SetChaos(nil)
 
 	var missing int
 	for key, etag := range want {
@@ -68,7 +76,7 @@ func TestSurvivesTransientStorageFaults(t *testing.T) {
 // dead-letter queue, matching the paper's §6 behaviour.
 func TestPermanentFaultsLandInDLQ(t *testing.T) {
 	f := newFixture(t, nil)
-	f.w.Region(dstID).Obj.SetFailureRate(1.0) // destination hard down
+	failObjRequests(f.w, dstID, 1.0) // destination hard down
 	f.put(t, "doomed", 2<<20, 1)
 	f.w.Clock.Quiesce()
 
@@ -77,7 +85,7 @@ func TestPermanentFaultsLandInDLQ(t *testing.T) {
 		t.Fatalf("dlq = %+v, want the doomed event", dlq)
 	}
 	// Recovery: destination heals, a fresh version replicates fine.
-	f.w.Region(dstID).Obj.SetFailureRate(0)
+	f.w.Region(dstID).Obj.SetChaos(nil)
 	res := f.put(t, "doomed", 2<<20, 2)
 	f.w.Clock.Quiesce()
 	obj, err := f.dstObject(t, "doomed")
@@ -95,13 +103,13 @@ func TestFaultsDoNotCorruptAssemblies(t *testing.T) {
 		r.ForceN = 16
 		r.ForceLoc = "azure:eastus"
 	})
-	f.w.Region(f.eng.Rule.Dst).Obj.SetFailureRate(0.03)
+	failObjRequests(f.w, f.eng.Rule.Dst, 0.03)
 	var last objstore.PutResult
 	for i := 0; i < 4; i++ {
 		last = f.put(t, "big", 256<<20, uint64(i)+1)
 		f.w.Clock.Quiesce()
 	}
-	f.w.Region(f.eng.Rule.Dst).Obj.SetFailureRate(0)
+	f.w.Region(f.eng.Rule.Dst).Obj.SetChaos(nil)
 	obj, err := f.dstObject(t, "big")
 	if err != nil {
 		// Every attempt may legitimately have died in the DLQ; but if the
@@ -138,7 +146,7 @@ func watchDupWrites(t *testing.T, w *world.World, region cloud.RegionID, bucket 
 // its redrive delays on the virtual clock.
 func TestFaultRetriesConsumeVirtualClock(t *testing.T) {
 	f := newFixture(t, nil)
-	f.w.Region(dstID).Obj.SetFailureRate(1.0)
+	failObjRequests(f.w, dstID, 1.0)
 	start := f.w.Clock.Now()
 	f.put(t, "stuck", 1<<20, 1)
 	f.w.Clock.Quiesce()
@@ -152,8 +160,8 @@ func TestFaultRetriesConsumeVirtualClock(t *testing.T) {
 	if elapsed := f.w.Clock.Now().Sub(start); elapsed < time.Minute {
 		t.Fatalf("only %v of virtual time elapsed; retries/redrives did not consume the clock", elapsed)
 	}
-	if len(f.eng.DLQEntries()) != 1 {
-		t.Fatalf("DLQ = %+v, want the stuck event parked", f.eng.DLQEntries())
+	if len(f.eng.DLQ()) != 1 {
+		t.Fatalf("DLQ = %+v, want the stuck event parked", f.eng.DLQ())
 	}
 }
 
@@ -162,11 +170,11 @@ func TestFaultRetriesConsumeVirtualClock(t *testing.T) {
 // without operator action.
 func TestFaultDLQAutomaticRedriveRecovers(t *testing.T) {
 	f := newFixture(t, nil)
-	f.w.Region(dstID).Obj.SetFailureRate(1.0)
+	failObjRequests(f.w, dstID, 1.0)
 	// Heal mid-redrive: after the first redrive fails (~t=32s) but before
 	// the second fires (~t=63s).
 	f.w.Clock.Delay(45*time.Second, func() {
-		f.w.Region(dstID).Obj.SetFailureRate(0)
+		f.w.Region(dstID).Obj.SetChaos(nil)
 	})
 	res := f.put(t, "heals", 1<<20, 1)
 	f.w.Clock.Quiesce()
@@ -188,22 +196,23 @@ func TestFaultDLQAutomaticRedriveRecovers(t *testing.T) {
 // RedriveDLQ button recovers it once the destination heals.
 func TestFaultDLQRedriveCappedThenManual(t *testing.T) {
 	f := newFixture(t, nil)
-	f.w.Region(dstID).Obj.SetFailureRate(1.0)
+	failObjRequests(f.w, dstID, 1.0)
 	res := f.put(t, "poison", 1<<20, 1)
 	f.w.Clock.Quiesce()
 
-	entries := f.eng.DLQEntries()
-	if len(entries) != 1 || entries[0].Event.Key != "poison" {
-		t.Fatalf("DLQ = %+v, want the poison event parked", entries)
+	dlq := f.eng.DLQ()
+	if len(dlq) != 1 || dlq[0].Key != "poison" {
+		t.Fatalf("DLQ = %+v, want the poison event parked", dlq)
 	}
-	if entries[0].Redrives != 2 {
-		t.Fatalf("automatic redrives = %d, want the default cap of 2", entries[0].Redrives)
+	// The only event was redriven automatically before it parked.
+	if got := f.w.Metrics.Counter("engine.dlq.redriven").Value(); got != 2 {
+		t.Fatalf("automatic redrives = %d, want the default cap of 2", got)
 	}
 	if got := f.w.Metrics.Counter("engine.tasks.dlq").Value(); got != 1 {
 		t.Fatalf("engine.tasks.dlq = %d, want 1", got)
 	}
 
-	f.w.Region(dstID).Obj.SetFailureRate(0)
+	f.w.Region(dstID).Obj.SetChaos(nil)
 	if n := f.eng.RedriveDLQ(); n != 1 {
 		t.Fatalf("RedriveDLQ = %d, want 1", n)
 	}

@@ -84,8 +84,8 @@ func TestRandomizedConvergence(t *testing.T) {
 // inconsistent at the destination.
 func TestRandomizedConvergenceUnderFaults(t *testing.T) {
 	f := newFixture(t, nil)
-	f.w.Region(srcID).Obj.SetFailureRate(0.03)
-	f.w.Region(dstID).Obj.SetFailureRate(0.03)
+	failObjRequests(f.w, srcID, 0.03)
+	failObjRequests(f.w, dstID, 0.03)
 	rng := simrand.New("convergence-faults")
 	src := f.w.Region(srcID).Obj
 
@@ -105,8 +105,8 @@ func TestRandomizedConvergenceUnderFaults(t *testing.T) {
 		}
 	})
 	f.w.Clock.Quiesce()
-	f.w.Region(srcID).Obj.SetFailureRate(0)
-	f.w.Region(dstID).Obj.SetFailureRate(0)
+	f.w.Region(srcID).Obj.SetChaos(nil)
+	f.w.Region(dstID).Obj.SetChaos(nil)
 
 	deadKeys := map[string]bool{}
 	for _, ev := range f.eng.DLQ() {

@@ -237,18 +237,10 @@ type Engine struct {
 	dims            []telemetry.Label // {rule,dest}, reused on exemplars
 
 	mu       sync.Mutex
-	dlq      []DLQEntry
+	dlq      []objstore.Event   // exhausted their retries and automatic redrives
 	redrives map[string]int     // key@seq -> automatic redrives consumed
 	traceSeq map[string]int     // per-version dispatch count, for trace IDs
 	ckpts    map[string]ckptRef // key -> live recovery records (MPU, pool)
-}
-
-// DLQEntry is one event that exhausted its retries and automatic
-// redrives.
-type DLQEntry struct {
-	Event    objstore.Event
-	Redrives int       // automatic redrives consumed before parking here
-	At       time.Time // when the event was finally dead-lettered
 }
 
 // New returns an Engine for rule. The replication lock lives in the source
@@ -315,18 +307,7 @@ func (e *Engine) LagHistogram() *telemetry.Histogram { return e.lagHist }
 func (e *Engine) DLQ() []objstore.Event {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	out := make([]objstore.Event, len(e.dlq))
-	for i, d := range e.dlq {
-		out[i] = d.Event
-	}
-	return out
-}
-
-// DLQEntries returns the dead-letter queue with redrive accounting.
-func (e *Engine) DLQEntries() []DLQEntry {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return append([]DLQEntry(nil), e.dlq...)
+	return append([]objstore.Event(nil), e.dlq...)
 }
 
 // RedriveDLQ drains the dead-letter queue and re-dispatches every parked
@@ -336,14 +317,14 @@ func (e *Engine) RedriveDLQ() int {
 	e.mu.Lock()
 	parked := e.dlq
 	e.dlq = nil
-	for _, d := range parked {
-		delete(e.redrives, eventID(d.Event))
+	for _, ev := range parked {
+		delete(e.redrives, eventID(ev))
 	}
 	e.dlqDepth.Set(0)
 	e.mu.Unlock()
-	for _, d := range parked {
+	for _, ev := range parked {
 		e.dlqRedriven.Inc()
-		e.dispatch(d.Event, "redrive")
+		e.dispatch(ev, "redrive")
 	}
 	return len(parked)
 }
@@ -398,21 +379,21 @@ func (e *Engine) Repair(ev objstore.Event) RepairOutcome {
 // them — the scrubber's targeted version of RedriveDLQ.
 func (e *Engine) redriveKey(key string) int {
 	e.mu.Lock()
-	var parked, kept []DLQEntry
-	for _, d := range e.dlq {
-		if d.Event.Key == key {
-			parked = append(parked, d)
-			delete(e.redrives, eventID(d.Event))
+	var parked, kept []objstore.Event
+	for _, ev := range e.dlq {
+		if ev.Key == key {
+			parked = append(parked, ev)
+			delete(e.redrives, eventID(ev))
 		} else {
-			kept = append(kept, d)
+			kept = append(kept, ev)
 		}
 	}
 	e.dlq = kept
 	e.dlqDepth.Set(int64(len(e.dlq)))
 	e.mu.Unlock()
-	for _, d := range parked {
+	for _, ev := range parked {
 		e.dlqRedriven.Inc()
-		e.dispatch(d.Event, "redrive")
+		e.dispatch(ev, "redrive")
 	}
 	return len(parked)
 }
@@ -436,7 +417,7 @@ func (e *Engine) deadLetter(sp *telemetry.Span, ev objstore.Event) {
 		return
 	}
 	delete(e.redrives, id)
-	e.dlq = append(e.dlq, DLQEntry{Event: ev, Redrives: n, At: e.W.Clock.Now()})
+	e.dlq = append(e.dlq, ev)
 	e.dlqDepth.Set(int64(len(e.dlq)))
 	e.mu.Unlock()
 	e.tasksDLQ.Inc()

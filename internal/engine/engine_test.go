@@ -65,7 +65,7 @@ func newTestModel(w *world.World, src, dst cloud.RegionID) *model.Model {
 	p.Rounds = 6
 	p.ChunksPerRound = 3
 	m := model.New()
-	p.FitRule(m, src, dst)
+	p.FitRuleWithRelays(m, src, dst, nil)
 	return m
 }
 

@@ -460,34 +460,6 @@ func (p *Platform) InvokeSpan(parent *telemetry.Span, n int, handler func(*Ctx))
 	}
 }
 
-// InvokeLocal runs handler inline on the caller's actor, modelling an
-// orchestrator that handles small work itself (T_func = 0 in the paper's
-// model). It still occupies an instance slot and bills execution time.
-func (p *Platform) InvokeLocal(handler func(*Ctx)) {
-	p.InvokeLocalSpan(nil, handler)
-}
-
-// InvokeLocalSpan is InvokeLocal with trace context; the execution span
-// stays on the parent's lane because it runs on the caller's actor.
-func (p *Platform) InvokeLocalSpan(parent *telemetry.Span, handler func(*Ctx)) {
-	book := pricing.BookFor(p.region.Provider)
-	p.invocations.Inc()
-	p.regInvocations.Inc()
-	p.meter.Add("fn:invoke", book.FnInvocation)
-	launched := p.clock.Now()
-	inst, cold := p.acquire()
-	if cold {
-		// A local handler runs inside an already-running function; the cold
-		// path only happens on the first use, and is cheap.
-		d := p.draw(p.cfg.ColdStart, 0.02)
-		p.clock.Sleep(simclock.Seconds(d))
-		p.startupHist.Observe(d)
-	}
-	sp := parent.ChildAt("fn:"+inst.ID, launched)
-	sp.Set("cold", cold)
-	p.run(inst, handler, book, sp)
-}
-
 // run executes handler on inst, enforcing the execution limit and billing.
 // Chaos may have doomed the instance to crash partway through: the crash
 // instant is drawn up front, the handler observes it through Ctx.Alive,

@@ -232,20 +232,6 @@ func TestExecLimitTimeout(t *testing.T) {
 	}
 }
 
-func TestInvokeLocalRunsInline(t *testing.T) {
-	clk, p, _ := newPlatform(t, cloud.AWS)
-	var ran bool
-	p.InvokeLocal(func(ctx *Ctx) {
-		ran = true
-		ctx.Clock.Sleep(time.Second)
-	})
-	// InvokeLocal is synchronous: the handler already ran.
-	if !ran {
-		t.Fatal("handler did not run inline")
-	}
-	clk.Quiesce()
-}
-
 func TestBandwidthScaleCombinesConfigAndInstance(t *testing.T) {
 	clk, _, _ := newPlatform(t, cloud.AWS)
 	cfg := DefaultConfig(cloud.AWS)

@@ -304,11 +304,6 @@ func (s *Store) ConditionalPut(table, key string, item Item, cond func(cur Item,
 	return nil
 }
 
-// PutIfAbsent writes item only when the key does not exist.
-func (s *Store) PutIfAbsent(table, key string, item Item) error {
-	return s.ConditionalPut(table, key, item, func(_ Item, exists bool) bool { return !exists })
-}
-
 // UpdateTTL is the store's one read-modify-write primitive. fn runs under
 // the store's lock on the stored item itself (nil if absent) and may
 // mutate it in place or return a fresh item; the store owns what fn

@@ -75,12 +75,15 @@ func TestConditionalPut(t *testing.T) {
 	}
 }
 
+// absent is the put-if-absent precondition.
+func absent(_ Item, exists bool) bool { return !exists }
+
 func TestPutIfAbsent(t *testing.T) {
 	_, s, _ := newStore()
-	if err := s.PutIfAbsent("t", "k", Item{}); err != nil {
+	if err := s.ConditionalPut("t", "k", Item{}, absent); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.PutIfAbsent("t", "k", Item{}); !errors.Is(err, ErrConditionFailed) {
+	if err := s.ConditionalPut("t", "k", Item{}, absent); !errors.Is(err, ErrConditionFailed) {
 		t.Fatalf("got %v", err)
 	}
 }
@@ -263,13 +266,13 @@ func TestTablesAreIsolated(t *testing.T) {
 }
 
 func TestConditionalPutRace(t *testing.T) {
-	// Many actors race PutIfAbsent on the same key; exactly one must win.
+	// Many actors race a put-if-absent on the same key; exactly one must win.
 	clk, s, _ := newStore()
 	var wins atomic.Int32
 	for i := 0; i < 32; i++ {
 		i := i
 		clk.Go(func() {
-			if err := s.PutIfAbsent("t", "lock", Item{"owner": int64(i)}); err == nil {
+			if err := s.ConditionalPut("t", "lock", Item{"owner": int64(i)}, absent); err == nil {
 				wins.Add(1)
 			}
 		})
@@ -291,7 +294,7 @@ func TestTTLExpiry(t *testing.T) {
 		t.Fatal("item survived its TTL")
 	}
 	// An expired key can be re-acquired conditionally.
-	if err := s.PutIfAbsent("t", "lease", Item{"owner": "b"}); err != nil {
+	if err := s.ConditionalPut("t", "lease", Item{"owner": "b"}, absent); err != nil {
 		t.Fatalf("expired key blocked a fresh acquire: %v", err)
 	}
 }

@@ -15,14 +15,16 @@ import (
 	"repro/internal/telemetry"
 )
 
-// Observation pairs a task's predicted and measured replication time.
-type Observation struct {
-	Loc       cloud.RegionID
-	N         int
-	Size      int64
-	Predicted float64 // model mean, seconds
-	Actual    float64 // measured T_rep, seconds
-}
+// The logger's sensitivity.
+const (
+	// alpha is the EWMA smoothing factor of the actual/predicted ratio.
+	alpha = 0.3
+	// threshold is the relative deviation that, once persistent, triggers
+	// a parameter refresh.
+	threshold = 0.25
+	// minSamples is how many observations a deviation must persist for.
+	minSamples = 8
+)
 
 // Stats is a snapshot of logger activity counters.
 type Stats struct {
@@ -35,17 +37,8 @@ type Logger struct {
 	M        *model.Model
 	Src, Dst cloud.RegionID
 
-	// Alpha is the EWMA smoothing factor of the actual/predicted ratio.
-	Alpha float64
-	// Threshold is the relative deviation that, once persistent, triggers
-	// a parameter refresh.
-	Threshold float64
-	// MinSamples is how many observations a deviation must persist for.
-	MinSamples int
-
-	mu      sync.Mutex
-	state   map[cloud.RegionID]*ewma
-	history []Observation
+	mu    sync.Mutex
+	state map[cloud.RegionID]*ewma
 
 	observed  telemetry.Counter
 	refreshes telemetry.Counter
@@ -53,30 +46,17 @@ type Logger struct {
 
 type ewma struct {
 	ratio  float64
-	streak int // consecutive observations deviating beyond Threshold
+	streak int // consecutive observations deviating beyond threshold
 }
 
-// New returns a Logger with the default sensitivity.
+// New returns a Logger for the rule src→dst that refreshes m's paths.
 func New(m *model.Model, src, dst cloud.RegionID) *Logger {
-	return &Logger{
-		M: m, Src: src, Dst: dst,
-		Alpha:      0.3,
-		Threshold:  0.25,
-		MinSamples: 8,
-		state:      make(map[cloud.RegionID]*ewma),
-	}
+	return &Logger{M: m, Src: src, Dst: dst, state: make(map[cloud.RegionID]*ewma)}
 }
 
 // Stats returns a snapshot of the logger's counters.
 func (lg *Logger) Stats() Stats {
 	return Stats{Observed: lg.observed.Value(), Refreshes: lg.refreshes.Value()}
-}
-
-// History returns the recorded observations.
-func (lg *Logger) History() []Observation {
-	lg.mu.Lock()
-	defer lg.mu.Unlock()
-	return append([]Observation(nil), lg.history...)
 }
 
 // Observe ingests one finished task. Hook it to engine.OnTaskDone.
@@ -92,25 +72,21 @@ func (lg *Logger) Observe(res engine.TaskResult) {
 
 	lg.observed.Inc()
 	lg.mu.Lock()
-	lg.history = append(lg.history, Observation{
-		Loc: res.Plan.Loc, N: res.Plan.N, Size: res.Size,
-		Predicted: res.Plan.EstMean, Actual: actual,
-	})
 	st, ok := lg.state[res.Plan.Loc]
 	if !ok {
 		st = &ewma{ratio: 1}
 		lg.state[res.Plan.Loc] = st
 	}
-	st.ratio = lg.Alpha*ratio + (1-lg.Alpha)*st.ratio
-	// A refresh needs the deviation to be *persistent*: MinSamples
+	st.ratio = alpha*ratio + (1-alpha)*st.ratio
+	// A refresh needs the deviation to be *persistent*: minSamples
 	// consecutive tasks beyond the threshold. Isolated spikes reset the
 	// streak and are absorbed by the EWMA.
-	if math.Abs(ratio-1) > lg.Threshold {
+	if math.Abs(ratio-1) > threshold {
 		st.streak++
 	} else {
 		st.streak = 0
 	}
-	deviated := st.streak >= lg.MinSamples && math.Abs(st.ratio-1) > lg.Threshold
+	deviated := st.streak >= minSamples && math.Abs(st.ratio-1) > threshold
 	var correction float64
 	if deviated {
 		correction = st.ratio

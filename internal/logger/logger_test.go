@@ -117,15 +117,6 @@ func TestSkipsNonTasks(t *testing.T) {
 	}
 }
 
-func TestHistoryRecorded(t *testing.T) {
-	lg := New(fitted(), src, dst)
-	lg.Observe(result(2.0, 2.5))
-	h := lg.History()
-	if len(h) != 1 || h[0].Predicted != 2.0 || h[0].Actual != 2.5 || h[0].N != 4 {
-		t.Fatalf("history = %+v", h)
-	}
-}
-
 func TestRefreshOnUnknownPathIsSafe(t *testing.T) {
 	m := fitted()
 	lg := New(m, src, dst)

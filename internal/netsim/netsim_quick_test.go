@@ -16,7 +16,7 @@ func TestLinkModelInvariants(t *testing.T) {
 	f := func(ai, bi, ei uint8, inst uint16) bool {
 		a := all[int(ai)%len(all)]
 		b := all[int(bi)%len(all)]
-		exec := cloud.Providers()[int(ei)%3]
+		exec := providers[int(ei)%len(providers)]
 
 		link := n.FuncLegMBps(a, b, exec)
 		if link.Mu <= 0 || link.Mu > 500 || link.Sigma < 0 {
@@ -71,7 +71,7 @@ func TestBandwidthMonotoneInDistance(t *testing.T) {
 // sweet-spot value.
 func TestConfigScaleMonotone(t *testing.T) {
 	f := func(m1, m2 uint16, pi uint8) bool {
-		p := cloud.Providers()[int(pi)%3]
+		p := providers[int(pi)%len(providers)]
 		lo, hi := int(m1)%8192+64, int(m2)%8192+64
 		if lo > hi {
 			lo, hi = hi, lo

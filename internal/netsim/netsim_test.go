@@ -11,6 +11,9 @@ import (
 
 func region(id string) cloud.Region { return cloud.MustLookup(cloud.RegionID(id)) }
 
+// providers are the three clouds the paper evaluates on.
+var providers = []cloud.Provider{cloud.AWS, cloud.Azure, cloud.GCP}
+
 func TestBaseBandwidthDecaysWithDistance(t *testing.T) {
 	n := New()
 	use1 := region("aws:us-east-1")
@@ -81,7 +84,7 @@ func TestVMFasterThanFunction(t *testing.T) {
 func TestInstanceMultiplierSpread(t *testing.T) {
 	n := New()
 	rng := simrand.New("test", "mult")
-	for _, p := range cloud.Providers() {
+	for _, p := range providers {
 		dist := n.InstanceMultiplier(p)
 		lo, hi := math.Inf(1), math.Inf(-1)
 		for i := 0; i < 2000; i++ {

@@ -145,14 +145,12 @@ type Store struct {
 	copyLatency stats.Normal
 	notifyDelay stats.Normal
 
-	mu          sync.Mutex
-	rng         interface{ NormFloat64() float64 }
-	failRng     interface{ Float64() float64 }
-	failureRate float64
-	chaos       *chaos.Injector
-	buckets     map[string]*bucket
-	uploads     map[string]*multipart
-	seq         uint64
+	mu      sync.Mutex
+	rng     interface{ NormFloat64() float64 }
+	chaos   *chaos.Injector
+	buckets map[string]*bucket
+	uploads map[string]*multipart
+	seq     uint64
 
 	failures      telemetry.Counter
 	notifyDropped telemetry.Counter
@@ -191,7 +189,6 @@ func New(clock *simclock.Clock, region cloud.Region, meter *pricing.Meter) *Stor
 		copyLatency: stats.N(0.060, 0.020),
 		notifyDelay: nd,
 		rng:         simrand.New("objstore", string(region.ID())),
-		failRng:     simrand.New("objstore-fail", string(region.ID())),
 		buckets:     make(map[string]*bucket),
 		uploads:     make(map[string]*multipart),
 	}
@@ -210,50 +207,38 @@ func notifyDelayFor(p cloud.Provider) stats.Normal {
 	return stats.N(0.4, 0.1)
 }
 
-// ErrUnavailable is the transient "503 Slow Down" class of failure
-// injected by SetFailureRate.
+// ErrUnavailable is the transient "503 Slow Down" class of failure an
+// armed chaos injector serves (§6: AReplica retries on transient faults
+// because PUT is idempotent).
 var ErrUnavailable = errors.New("objstore: service unavailable (injected)")
 
-// SetFailureRate makes a fraction of subsequent requests fail with
-// ErrUnavailable after consuming their latency, for fault-tolerance
-// testing (§6: AReplica retries on transient faults because PUT is
-// idempotent).
-func (s *Store) SetFailureRate(rate float64) {
-	s.mu.Lock()
-	s.failureRate = rate
-	s.mu.Unlock()
-}
-
-// SetChaos points the store at an armed chaos injector (nil disables).
-// Chaos faults compose with the legacy uniform SetFailureRate.
+// SetChaos points the store at an armed chaos injector; nil heals it.
+// It is the store's one fault path: a world arms every store at once
+// (world.SetChaos), a test may arm a single store.
 func (s *Store) SetChaos(ij *chaos.Injector) {
 	s.mu.Lock()
 	s.chaos = ij
 	s.mu.Unlock()
 }
 
-// maybeFail decides one request's fate: first the legacy uniform failure
-// rate, then the chaos injector's per-op verdict (which may also add a
-// slow-request delay before succeeding or failing).
+// maybeFail decides one request's fate from the chaos injector's per-op
+// verdict, which may also add a slow-request delay before succeeding or
+// failing.
 func (s *Store) maybeFail(op string) error {
 	s.mu.Lock()
-	fail := s.failureRate > 0 && s.failRng.Float64() < s.failureRate
 	ij := s.chaos
 	s.mu.Unlock()
-	if !fail {
-		v := ij.Obj(string(s.region.ID()), op)
-		if v.Delay > 0 {
-			s.clock.Sleep(v.Delay)
-		}
-		fail = v.Fail
+	v := ij.Obj(string(s.region.ID()), op)
+	if v.Delay > 0 {
+		s.clock.Sleep(v.Delay)
 	}
-	if fail {
-		s.failures.Inc()
-		s.regFailures.Inc()
-		s.regFailByOp[op].Inc()
-		return ErrUnavailable
+	if !v.Fail {
+		return nil
 	}
-	return nil
+	s.failures.Inc()
+	s.regFailures.Inc()
+	s.regFailByOp[op].Inc()
+	return ErrUnavailable
 }
 
 // mpuVanished consults chaos on whether an in-progress multipart upload
@@ -545,14 +530,10 @@ func (s *Store) CopyWithOrigin(srcBucket, srcKey, dstBucket, dstKey, ifMatch, or
 	return s.storeOriginLocked(db, dstKey, obj.Blob, origin), nil
 }
 
-// Compose concatenates the current versions of srcKeys into dstKey
-// server-side (GCS compose / S3 multipart-copy idiom). srcETags, when
-// non-nil, are per-source preconditions.
-func (s *Store) Compose(bucketName, dstKey string, srcKeys []string, srcETags []string) (PutResult, error) {
-	return s.ComposeWithOrigin(bucketName, dstKey, srcKeys, srcETags, "")
-}
-
-// ComposeWithOrigin is Compose with an origin tag on the notification.
+// ComposeWithOrigin concatenates the current versions of srcKeys into
+// dstKey server-side (GCS compose / S3 multipart-copy idiom), tagging the
+// notification with origin. srcETags, when non-nil, are per-source
+// preconditions.
 func (s *Store) ComposeWithOrigin(bucketName, dstKey string, srcKeys []string, srcETags []string, origin string) (PutResult, error) {
 	s.sleep(s.copyLatency, s.copyHist)
 	s.meter.Add("obj:put", s.book.ObjPut)
@@ -808,23 +789,6 @@ type Usage struct {
 	Bytes           int64
 	NoncurrentCount int64
 	NoncurrentBytes int64
-}
-
-// BucketUsage returns storage statistics for a bucket (no request latency;
-// an accounting helper).
-func (s *Store) BucketUsage(bucketName string) (Usage, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	b, ok := s.buckets[bucketName]
-	if !ok {
-		return Usage{}, ErrNoSuchBucket
-	}
-	u := Usage{NoncurrentCount: b.noncurrentCount, NoncurrentBytes: b.noncurrentBytes}
-	for _, o := range b.objects {
-		u.Objects++
-		u.Bytes += o.Size
-	}
-	return u, nil
 }
 
 // MaxListPage is the largest number of keys one LIST request returns,

@@ -203,7 +203,7 @@ func TestCompose(t *testing.T) {
 	s.Put("b", "p0", whole.Slice(0, 100))
 	s.Put("b", "p1", whole.Slice(100, 100))
 	s.Put("b", "p2", whole.Slice(200, 100))
-	res, err := s.Compose("b", "joined", []string{"p0", "p1", "p2"}, nil)
+	res, err := s.ComposeWithOrigin("b", "joined", []string{"p0", "p1", "p2"}, nil, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,7 +211,7 @@ func TestCompose(t *testing.T) {
 		t.Error("composing contiguous slices should recreate the original")
 	}
 	// Precondition failure on one source.
-	_, err = s.Compose("b", "x", []string{"p0", "p1"}, []string{`"bad"`, ""})
+	_, err = s.ComposeWithOrigin("b", "x", []string{"p0", "p1"}, []string{`"bad"`, ""}, "")
 	if !errors.Is(err, ErrPreconditionFailed) {
 		t.Errorf("compose precondition: %v", err)
 	}
@@ -307,18 +307,16 @@ func TestVersioningTracksNoncurrent(t *testing.T) {
 	s.Put("v", "k", BlobOfSize(100, 1))
 	s.Put("v", "k", BlobOfSize(200, 2))
 	s.Delete("v", "k")
-	u, err := s.BucketUsage("v")
-	if err != nil {
-		t.Fatal(err)
-	}
+	// Bucket "b" is still empty, so the store's usage is bucket "v"'s.
+	u := s.TotalUsage()
 	if u.Objects != 0 || u.NoncurrentCount != 2 || u.NoncurrentBytes != 300 {
 		t.Errorf("usage = %+v", u)
 	}
 	// Unversioned bucket retains nothing.
 	s.Put("b", "k", BlobOfSize(100, 1))
 	s.Put("b", "k", BlobOfSize(100, 2))
-	u2, _ := s.BucketUsage("b")
-	if u2.NoncurrentCount != 0 {
+	u2 := s.TotalUsage()
+	if u2.Objects != 1 || u2.NoncurrentCount != 2 || u2.NoncurrentBytes != 300 {
 		t.Errorf("unversioned usage = %+v", u2)
 	}
 }

@@ -177,21 +177,6 @@ func (m *Meter) Add(item string, usd float64) {
 	m.mu.Unlock()
 }
 
-// Merge adds every item of other into m.
-func (m *Meter) Merge(other *Meter) {
-	other.mu.Lock()
-	snapshot := make(map[string]float64, len(other.items))
-	for k, v := range other.items {
-		snapshot[k] = v
-	}
-	other.mu.Unlock()
-	m.mu.Lock()
-	for k, v := range snapshot {
-		m.items[k] += v
-	}
-	m.mu.Unlock()
-}
-
 // Total returns the sum over all items. Summation runs in sorted item
 // order: float addition is not associative, and map iteration order would
 // otherwise wobble the last ULP between identically-seeded runs.
@@ -226,22 +211,6 @@ func (m *Meter) Breakdown() map[string]float64 {
 		out[k] = v
 	}
 	return out
-}
-
-// Items returns the item names sorted by descending cost.
-func (m *Meter) Items() []string {
-	bd := m.Breakdown()
-	names := make([]string, 0, len(bd))
-	for k := range bd {
-		names = append(names, k)
-	}
-	sort.Slice(names, func(i, j int) bool {
-		if bd[names[i]] != bd[names[j]] {
-			return bd[names[i]] > bd[names[j]]
-		}
-		return names[i] < names[j]
-	})
-	return names
 }
 
 // Reset clears all accumulated costs.

@@ -269,17 +269,12 @@ func (p *Profiler) ProfileNotify(src cloud.RegionID) stats.Normal {
 	return stats.FitNormal(samples)
 }
 
-// FitRule profiles everything a replication rule needs — both execution
-// regions, both path variants, and the source's notification delay — and
-// installs the results into m. Already-profiled regions and paths are
-// skipped, so fitting many rules shares work.
-func (p *Profiler) FitRule(m *model.Model, src, dst cloud.RegionID) {
-	p.FitRuleWithRelays(m, src, dst, nil)
-}
-
-// FitRuleWithRelays is FitRule plus profiling of optional overlay relay
-// regions (§6's extension): each relay gets startup parameters and a
-// (src, dst, relay) path fit.
+// FitRuleWithRelays profiles everything a replication rule needs — both
+// execution regions, both path variants, and the source's notification
+// delay — and installs the results into m. Each optional overlay relay
+// region (§6's extension) also gets startup parameters and a (src, dst,
+// relay) path fit. Already-profiled regions and paths are skipped, so
+// fitting many rules shares work.
 func (p *Profiler) FitRuleWithRelays(m *model.Model, src, dst cloud.RegionID, relays []cloud.RegionID) {
 	locs := append([]cloud.RegionID{src, dst}, relays...)
 	for _, loc := range locs {

@@ -82,7 +82,7 @@ func TestProfileNotifyMatchesPlatform(t *testing.T) {
 func TestFitRuleFillsModelAndSkipsRepeats(t *testing.T) {
 	p := newProfiler()
 	m := model.New()
-	p.FitRule(m, src, dst)
+	p.FitRuleWithRelays(m, src, dst, nil)
 	if _, ok := m.Loc(src); !ok {
 		t.Fatal("src loc not profiled")
 	}
@@ -99,12 +99,12 @@ func TestFitRuleFillsModelAndSkipsRepeats(t *testing.T) {
 	}
 	// Re-fitting is a cheap no-op (virtual time does not advance).
 	before := p.W.Clock.Now()
-	p.FitRule(m, src, dst)
+	p.FitRuleWithRelays(m, src, dst, nil)
 	if !p.W.Clock.Now().Equal(before) {
-		t.Fatal("second FitRule re-profiled")
+		t.Fatal("second FitRuleWithRelays re-profiled")
 	}
 	// A second rule sharing the source only profiles the new pieces.
-	p.FitRule(m, src, "gcp:us-east1")
+	p.FitRuleWithRelays(m, src, "gcp:us-east1", nil)
 	if _, ok := m.Path(model.PathKey{Src: src, Dst: "gcp:us-east1", Loc: src}); !ok {
 		t.Fatal("new path not profiled")
 	}
@@ -115,7 +115,7 @@ func TestProfiledModelPlansSanely(t *testing.T) {
 	// estimate lands in a plausible band for this path.
 	p := newProfiler()
 	m := model.New()
-	p.FitRule(m, src, dst)
+	p.FitRuleWithRelays(m, src, dst, nil)
 	d, err := m.ReplTime(src, dst, src, 1<<30, 1, true)
 	if err != nil {
 		t.Fatal(err)

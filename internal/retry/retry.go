@@ -16,8 +16,8 @@ import (
 	"repro/internal/simclock"
 )
 
-// ErrDeadlineExceeded is returned by Do when the deadline passes before
-// an attempt succeeds.
+// ErrDeadlineExceeded is returned by DoObserved when the deadline passes
+// before an attempt succeeds.
 var ErrDeadlineExceeded = errors.New("retry: deadline exceeded")
 
 // permanentError marks an error that must not be retried.
@@ -26,9 +26,9 @@ type permanentError struct{ err error }
 func (p permanentError) Error() string { return p.err.Error() }
 func (p permanentError) Unwrap() error { return p.err }
 
-// Permanent wraps err so Do stops immediately and returns the underlying
-// error — for failures retrying cannot fix (missing keys, failed
-// preconditions). A nil err stays nil.
+// Permanent wraps err so DoObserved stops immediately and returns the
+// underlying error — for failures retrying cannot fix (missing keys,
+// failed preconditions). A nil err stays nil.
 func Permanent(err error) error {
 	if err == nil {
 		return nil
@@ -91,20 +91,16 @@ func (p Policy) Backoff(retry int, rng *rand.Rand) time.Duration {
 	return d
 }
 
-// Do runs fn under the policy: up to MaxAttempts tries, sleeping the
-// backoff on clock between failures, never starting an attempt past
+// DoObserved runs fn under the policy: up to MaxAttempts tries, sleeping
+// the backoff on clock between failures, never starting an attempt past
 // deadline (zero deadline means none). It returns nil on the first
 // success, the last error on exhaustion, or ErrDeadlineExceeded (wrapping
 // the last error, if any) when the deadline cuts the budget short.
-func Do(clock *simclock.Clock, rng *rand.Rand, p Policy, deadline time.Time, fn func(attempt int) error) error {
-	return DoObserved(clock, rng, p, deadline, nil, fn)
-}
-
-// DoObserved is Do with a wait observer: onWait (when non-nil) is called
-// just before each backoff sleep with the 0-based retry number and the
-// wait about to be consumed. The engine hangs telemetry spans off it so
-// request-level retry stalls are attributable on a task's critical path;
-// the observer must not block.
+//
+// onWait (when non-nil) is called just before each backoff sleep with the
+// 0-based retry number and the wait about to be consumed. The engine
+// hangs telemetry spans off it so request-level retry stalls are
+// attributable on a task's critical path; the observer must not block.
 func DoObserved(clock *simclock.Clock, rng *rand.Rand, p Policy, deadline time.Time,
 	onWait func(retry int, wait time.Duration), fn func(attempt int) error) error {
 	attempts := p.MaxAttempts

@@ -45,7 +45,7 @@ func TestRetryBackoffDeterministic(t *testing.T) {
 	}
 }
 
-// TestRetryDoConsumesVirtualClock verifies Do's waits happen on the
+// TestRetryDoConsumesVirtualClock verifies DoObserved's waits happen on the
 // simulated clock: three failures under a no-jitter policy advance
 // virtual time by exactly base+2*base.
 func TestRetryDoConsumesVirtualClock(t *testing.T) {
@@ -56,7 +56,7 @@ func TestRetryDoConsumesVirtualClock(t *testing.T) {
 	var elapsed time.Duration
 	clk.Go(func() {
 		start := clk.Now()
-		_ = Do(clk, nil, p, time.Time{}, func(int) error { attempts++; return fail })
+		_ = DoObserved(clk, nil, p, time.Time{}, nil, func(int) error { attempts++; return fail })
 		elapsed = clk.Now().Sub(start)
 	})
 	clk.Quiesce()
@@ -75,14 +75,14 @@ func TestRetryDoStopsOnSuccessAndPermanent(t *testing.T) {
 
 	n := 0
 	clk.Go(func() {
-		if err := Do(clk, nil, p, time.Time{}, func(int) error {
+		if err := DoObserved(clk, nil, p, time.Time{}, nil, func(int) error {
 			n++
 			if n < 2 {
 				return errors.New("transient")
 			}
 			return nil
 		}); err != nil {
-			t.Errorf("Do = %v, want success on second attempt", err)
+			t.Errorf("DoObserved = %v, want success on second attempt", err)
 		}
 	})
 	clk.Quiesce()
@@ -93,9 +93,9 @@ func TestRetryDoStopsOnSuccessAndPermanent(t *testing.T) {
 	sentinel := errors.New("precondition failed")
 	n = 0
 	clk.Go(func() {
-		err := Do(clk, nil, p, time.Time{}, func(int) error { n++; return Permanent(sentinel) })
+		err := DoObserved(clk, nil, p, time.Time{}, nil, func(int) error { n++; return Permanent(sentinel) })
 		if !errors.Is(err, sentinel) {
-			t.Errorf("Do = %v, want the unwrapped sentinel", err)
+			t.Errorf("DoObserved = %v, want the unwrapped sentinel", err)
 		}
 	})
 	clk.Quiesce()
@@ -117,9 +117,9 @@ func TestRetryDoDeadline(t *testing.T) {
 	n := 0
 	clk.Go(func() {
 		deadline := clk.Now().Add(3 * time.Second)
-		err := Do(clk, nil, p, deadline, func(int) error { n++; return fail })
+		err := DoObserved(clk, nil, p, deadline, nil, func(int) error { n++; return fail })
 		if !errors.Is(err, ErrDeadlineExceeded) || !errors.Is(err, fail) {
-			t.Errorf("Do = %v, want deadline error wrapping the last failure", err)
+			t.Errorf("DoObserved = %v, want deadline error wrapping the last failure", err)
 		}
 	})
 	clk.Quiesce()

@@ -121,8 +121,11 @@ func TestEventWaitAfterTrigger(t *testing.T) {
 	ev := c.NewEvent()
 	ev.Trigger()
 	ev.Wait() // must not block
-	if !ev.Triggered() {
-		t.Fatal("Triggered() = false after Trigger")
+	c.mu.Lock()
+	done := ev.done
+	c.mu.Unlock()
+	if !done {
+		t.Fatal("event not marked done after Trigger")
 	}
 }
 

@@ -28,13 +28,6 @@ func (e *Event) Wait() {
 	c.yieldLocked()
 }
 
-// Triggered reports whether the event has been triggered.
-func (e *Event) Triggered() bool {
-	e.c.mu.Lock()
-	defer e.c.mu.Unlock()
-	return e.done
-}
-
 // Trigger fires the event and queues all waiters, in the order they began
 // waiting, behind the actors already in the ready queue. Triggering an
 // already triggered event is a no-op.

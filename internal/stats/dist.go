@@ -75,11 +75,6 @@ func (n Normal) Scale(k float64) Normal {
 	return Normal{Mu: k * n.Mu, Sigma: math.Abs(k) * n.Sigma}
 }
 
-// Shift returns the distribution of X + c.
-func (n Normal) Shift(c float64) Normal {
-	return Normal{Mu: n.Mu + c, Sigma: n.Sigma}
-}
-
 // String implements fmt.Stringer.
 func (n Normal) String() string {
 	return fmt.Sprintf("N(%.4g, %.4g)", n.Mu, n.Sigma)

@@ -79,10 +79,6 @@ func TestNormalPlusScale(t *testing.T) {
 	if !almostEqual(sc.Mu, 2, 1e-12) || !almostEqual(sc.Sigma, 6, 1e-12) {
 		t.Errorf("Scale = %v, want N(2,6)", sc)
 	}
-	sh := a.Shift(10)
-	if !almostEqual(sh.Mu, 11, 1e-12) || sh.Sigma != 3 {
-		t.Errorf("Shift = %v, want N(11,3)", sh)
-	}
 }
 
 func TestSumNormals(t *testing.T) {

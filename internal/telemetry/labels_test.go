@@ -15,7 +15,7 @@ import (
 func fixtureRegistry() *Registry {
 	r := NewRegistry()
 	r.Gauge("engine.dlq.depth").Set(3)
-	h := r.HistogramBuckets("engine.task.seconds", []float64{0.5, 1, 2, 4})
+	h := r.HistogramVecBuckets("engine.task.seconds", []float64{0.5, 1, 2, 4}).With()
 	for _, v := range []float64{0.2, 0.7, 0.9, 1.5, 3.0, 9.0} {
 		h.Observe(v)
 	}

@@ -473,12 +473,6 @@ func (r *Registry) Gauge(name string) *Gauge { return r.GaugeVec(name).With() }
 // default latency buckets, creating it on first use.
 func (r *Registry) Histogram(name string) *Histogram { return r.HistogramVec(name).With() }
 
-// HistogramBuckets is Histogram with explicit bucket bounds (applied only
-// on first creation).
-func (r *Registry) HistogramBuckets(name string, bounds []float64) *Histogram {
-	return r.HistogramVecBuckets(name, bounds).With()
-}
-
 // WriteText dumps every non-empty instrument as sorted plain text:
 // counters and gauges as "name value", histograms with count, sum,
 // extremes and interpolated p50/p95/p99. Labelled family children are

@@ -296,20 +296,6 @@ func (t *Tracer) Stats() TracerStats {
 	}
 }
 
-// VerdictCounts returns the number of retained traces per verdict.
-func (t *Tracer) VerdictCounts() map[Verdict]int64 {
-	if t == nil {
-		return nil
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	out := make(map[Verdict]int64, len(t.verdicts))
-	for v, n := range t.verdicts {
-		out[v] = n
-	}
-	return out
-}
-
 // spanBytes estimates the resident size of one retained span: struct
 // overhead plus its strings and attrs. An accounting estimate, not an
 // exact heap measurement.

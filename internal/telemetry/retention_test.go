@@ -34,6 +34,23 @@ func spansPerTrace(spans []*Span) map[string]int {
 	return out
 }
 
+// verdictCounts counts retained traces per verdict from the verdict each
+// kept root carries.
+func verdictCounts(tr *Tracer) map[Verdict]int64 {
+	out := make(map[Verdict]int64)
+	for _, s := range tr.Spans() {
+		if s.Parent != "" {
+			continue
+		}
+		for _, a := range s.Attrs() {
+			if a.Key == RetentionAttr {
+				out[Verdict(a.Value.(string))]++
+			}
+		}
+	}
+	return out
+}
+
 func TestSetEnabledMidFlightDropsTreeWhole(t *testing.T) {
 	tr := NewTracer(newFakeClock().now)
 	tr.Enable()
@@ -166,7 +183,7 @@ func TestRetentionHeadSamplingExact(t *testing.T) {
 		if len(ids) != traces/n {
 			t.Fatalf("seed %d: kept %d of %d clean traces, want exactly %d", seed, len(ids), traces, traces/n)
 		}
-		if vc := tr.VerdictCounts(); vc[VerdictSample] != int64(traces/n) {
+		if vc := verdictCounts(tr); vc[VerdictSample] != int64(traces/n) {
 			t.Fatalf("seed %d: verdict counts %v", seed, vc)
 		}
 		keptBySeed[seed] = ids
@@ -203,7 +220,7 @@ func TestRetentionAnomaliesAlwaysKept(t *testing.T) {
 	if anom != 16 {
 		t.Fatalf("kept %d of 16 anomalous traces", anom)
 	}
-	vc := tr.VerdictCounts()
+	vc := verdictCounts(tr)
 	if vc[VerdictRetry] != 16 {
 		t.Fatalf("retry verdicts %d, want 16", vc[VerdictRetry])
 	}
@@ -311,7 +328,7 @@ func TestRetentionSummaryDeterministic(t *testing.T) {
 func TestPromExemplarGolden(t *testing.T) {
 	build := func() *Registry {
 		r := NewRegistry()
-		h := r.HistogramBuckets("engine.task.seconds", []float64{0.5, 1, 2})
+		h := r.HistogramVecBuckets("engine.task.seconds", []float64{0.5, 1, 2}).With()
 		lag := r.HistogramVecBuckets("engine.lag.seconds", []float64{1, 10}).
 			With(L("dest", "aws:us-east-1"), L("rule", "a->b"))
 

@@ -80,11 +80,10 @@ type Tracer struct {
 
 	stats tracerCounters
 
-	mu       sync.Mutex
-	kept     []*Span                 // spans of retained trees
-	live     map[*traceTree]struct{} // trees still in flight
-	free     []*Span                 // recycled spans of dropped trees
-	verdicts map[Verdict]int64
+	mu   sync.Mutex
+	kept []*Span                 // spans of retained trees
+	live map[*traceTree]struct{} // trees still in flight
+	free []*Span                 // recycled spans of dropped trees
 }
 
 // NewTracer returns a disabled Tracer reading time from now (typically
@@ -93,7 +92,7 @@ func NewTracer(now func() time.Time) *Tracer {
 	if now == nil {
 		now = time.Now
 	}
-	return &Tracer{now: now, verdicts: make(map[Verdict]int64)}
+	return &Tracer{now: now}
 }
 
 // SetEnabled turns span collection on or off. Traces started while
@@ -140,7 +139,6 @@ func (t *Tracer) Reset() {
 	t.mu.Lock()
 	t.kept = nil
 	t.live = nil
-	t.verdicts = make(map[Verdict]int64)
 	t.mu.Unlock()
 	t.stats.reset()
 }
@@ -290,7 +288,6 @@ func (t *Tracer) flushTree(tree *traceTree) {
 	}
 	t.mu.Lock()
 	t.kept = append(t.kept, spans...)
-	t.verdicts[verdict]++
 	t.mu.Unlock()
 	t.stats.treesRetained.Add(1)
 	t.stats.spansRetained.Add(int64(len(spans)))

@@ -204,33 +204,6 @@ func poisson(rng *rand.Rand, lambda float64) int {
 	return k - 1
 }
 
-// Stats summarizes a trace.
-type Stats struct {
-	Ops       int
-	Puts      int
-	Deletes   int
-	Bytes     int64
-	PutsLE1MB int
-}
-
-// Summarize computes aggregate statistics.
-func Summarize(ops []Op) Stats {
-	var st Stats
-	st.Ops = len(ops)
-	for _, op := range ops {
-		if op.Type == OpPut {
-			st.Puts++
-			st.Bytes += op.Size
-			if op.Size <= 1<<20 {
-				st.PutsLE1MB++
-			}
-		} else {
-			st.Deletes++
-		}
-	}
-	return st
-}
-
 // SizeHistogram buckets PUT requests by size for Figure 2, returning
 // per-bucket request counts and capacity (bytes).
 func SizeHistogram(ops []Op) (labels []string, counts []int64, capacity []int64) {

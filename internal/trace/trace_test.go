@@ -51,15 +51,26 @@ func TestGenerateBasicProperties(t *testing.T) {
 	if last := ops[len(ops)-1].At; last > cfg.Duration {
 		t.Fatalf("op beyond duration: %v", last)
 	}
-	st := Summarize(ops)
 	// Total volume near rate*duration.
-	if st.Ops < 3000 || st.Ops > 20000 {
-		t.Fatalf("ops = %d for 30min@200/min", st.Ops)
+	if len(ops) < 3000 || len(ops) > 20000 {
+		t.Fatalf("ops = %d for 30min@200/min", len(ops))
 	}
-	if st.Deletes == 0 || st.Puts == 0 {
-		t.Fatalf("mix missing: %+v", st)
+	var puts, deletes, small int
+	for _, op := range ops {
+		switch {
+		case op.Type != OpPut:
+			deletes++
+		case op.Size <= 1<<20:
+			puts++
+			small++
+		default:
+			puts++
+		}
 	}
-	if f := float64(st.PutsLE1MB) / float64(st.Puts); f < 0.7 || f > 0.9 {
+	if deletes == 0 || puts == 0 {
+		t.Fatalf("mix missing: %d puts, %d deletes", puts, deletes)
+	}
+	if f := float64(small) / float64(puts); f < 0.7 || f > 0.9 {
 		t.Fatalf("small-object fraction = %v", f)
 	}
 }
